@@ -19,7 +19,9 @@ from .errors import CacheMiss, CorruptCache, UncalibratedReference
 from .operators import OperatorKind
 from .reference import ReferenceDistribution, ReferenceKey
 
-CACHE_VERSION = 1
+# Version 1 files hold floors calibrated with Monte-Carlo p-values; they
+# are refused rather than mixed with exact scores.
+CACHE_VERSION = 2
 
 _ENTRY_FIELDS = ("operator", "entries_per_vector", "observed_len_bucket", "pmf",
                  "calibration_floor", "mc_draws", "calibration_samples", "seed")
@@ -79,8 +81,13 @@ class ReferenceCache:
             doc = json.loads(self.path.read_text(encoding="utf-8"))
         except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise CorruptCache(f"{self.path}: not valid JSON ({exc})") from exc
-        if not isinstance(doc, dict) or doc.get("version") != CACHE_VERSION:
-            raise CorruptCache(f"{self.path}: missing or unsupported version")
+        if not isinstance(doc, dict) or "version" not in doc:
+            raise CorruptCache(f"{self.path}: missing version")
+        if doc["version"] != CACHE_VERSION:
+            raise CorruptCache(
+                f"{self.path}: cache version {doc['version']!r} is not supported "
+                f"(expected {CACHE_VERSION}); use a new cache file to rebuild "
+                "its references")
         raw_entries = doc.get("entries")
         if not isinstance(raw_entries, list):
             raise CorruptCache(f"{self.path}: entries must be a list")

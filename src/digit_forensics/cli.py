@@ -32,13 +32,7 @@ from .harness import (
 from .ingest import DEFAULT_PAIR_CAP, compute_stats, load_csv, load_report
 from .operators import OPERATOR_ORDER, OperatorKind
 from .reference import ReferenceStore
-from .scoring import (
-    DEFAULT_MIN_SAMPLES,
-    DEFAULT_SCORE_RESAMPLES,
-    AggregateOutcome,
-    flag,
-    score_groups,
-)
+from .scoring import DEFAULT_MIN_SAMPLES, AggregateOutcome, flag, score_groups
 
 DEFAULT_SEED = 1729
 DEFAULT_DRAWS = 100_000
@@ -87,8 +81,7 @@ def _store(args: argparse.Namespace) -> ReferenceStore:
 
 def _score_groups(args: argparse.Namespace, groups, entries_per_vector: int) -> AggregateOutcome:
     return score_groups(groups, entries_per_vector=entries_per_vector,
-                        store=_store(args), seed=args.seed,
-                        min_samples=args.min_samples, resamples=args.resamples)
+                        store=_store(args), min_samples=args.min_samples)
 
 
 def _key_dict(key) -> dict:
@@ -253,8 +246,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
                      seed=args.seed)
     result = run_validation(datasets, spec, store=_store(args),
                             decision_threshold=args.threshold, seed=args.seed,
-                            min_samples=args.min_samples, resamples=args.resamples,
-                            pair_cap=args.pair_cap)
+                            min_samples=args.min_samples, pair_cap=args.pair_cap)
     payload = _validation_payload(result)
     _write_output(args, payload, _render_validation(payload))
     return EXIT_OK
@@ -262,10 +254,11 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 def _cmd_scan_corpus(args: argparse.Namespace) -> int:
     paths = sorted(Path(args.reports).glob("*.json"))
+    if not paths:
+        raise ValueError(f"no .json files found in {args.reports}")
     reports = [load_report(path) for path in paths]
     result = scan_corpus(reports, store=_store(args), levels=args.levels,
-                         entries_per_vector=args.n, seed=args.seed,
-                         min_samples=args.min_samples, resamples=args.resamples)
+                         entries_per_vector=args.n, min_samples=args.min_samples)
     payload = _scan_payload(result, args.levels)
     _write_output(args, payload, _render_scan(payload))
     return EXIT_OK
@@ -283,9 +276,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--calibration-samples", type=_positive_int,
                         default=DEFAULT_CALIBRATION_SAMPLES, metavar="N",
                         help="null histograms per calibration floor (default %(default)s)")
-    common.add_argument("--resamples", type=_positive_int,
-                        default=DEFAULT_SCORE_RESAMPLES,
-                        help="KS resamples per scored group (default %(default)s)")
     common.add_argument("--format", choices=("json", "text"), default="json",
                         help="stdout format (default %(default)s)")
     common.add_argument("-v", "--verbose", action="count", default=0,

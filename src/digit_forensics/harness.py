@@ -12,13 +12,7 @@ from . import rng as rngmod
 from .errors import DegenerateInput, NoUsableOutcomes
 from .ingest import ComputedStats, DatasetMatrix, ReportedStats, compute_stats
 from .reference import ReferenceStore
-from .scoring import (
-    DEFAULT_MIN_SAMPLES,
-    DEFAULT_SCORE_RESAMPLES,
-    AggregateOutcome,
-    flag,
-    score_groups,
-)
+from .scoring import DEFAULT_MIN_SAMPLES, flag, score_groups
 
 logger = logging.getLogger(__name__)
 
@@ -158,7 +152,6 @@ def inject_noise(stats: ComputedStats, spec: NoiseSpec,
 def run_validation(datasets: Sequence[DatasetMatrix], spec: NoiseSpec, *,
                    store: ReferenceStore, decision_threshold: float = DEFAULT_THRESHOLD,
                    seed: int = 0, min_samples: int = DEFAULT_MIN_SAMPLES,
-                   resamples: int = DEFAULT_SCORE_RESAMPLES,
                    pair_cap: int = 200) -> ValidationResult:
     """Score a half-clean, half-manipulated split of the corpus.
 
@@ -185,9 +178,7 @@ def run_validation(datasets: Sequence[DatasetMatrix], spec: NoiseSpec, *,
             stats = inject_noise(stats, spec, noise_rng)
         try:
             outcome = score_groups(stats.groups(), entries_per_vector=dataset.n_rows,
-                                   store=store,
-                                   seed=rngmod.fold_seed(seed, rngmod.STREAM_DATASET, idx),
-                                   min_samples=min_samples, resamples=resamples)
+                                   store=store, min_samples=min_samples)
         except NoUsableOutcomes as exc:
             logger.info("excluding %s: %s", dataset.name, exc)
             excluded.append((dataset.name, str(exc)))
@@ -238,9 +229,8 @@ def build_flag_table(scores: Mapping[str, float], levels: Sequence[float],
 
 def scan_corpus(reports: Sequence[ReportedStats], *, store: ReferenceStore,
                 levels: Sequence[float] = DEFAULT_LEVELS,
-                entries_per_vector: int = 10, seed: int = 0,
-                min_samples: int = DEFAULT_MIN_SAMPLES,
-                resamples: int = DEFAULT_SCORE_RESAMPLES) -> ScanReport:
+                entries_per_vector: int = 10,
+                min_samples: int = DEFAULT_MIN_SAMPLES) -> ScanReport:
     """Score every report and tabulate flags at each confidence level.
 
     Reports whose groups are all too thin to score are listed as
@@ -254,12 +244,10 @@ def scan_corpus(reports: Sequence[ReportedStats], *, store: ReferenceStore,
             raise ValueError(f"duplicate source_id {a.source_id!r}")
     scores: dict[str, float] = {}
     unscorable: list[str] = []
-    for idx, report in enumerate(ordered):
+    for report in ordered:
         try:
             outcome = score_groups(report.groups, entries_per_vector=entries_per_vector,
-                                   store=store,
-                                   seed=rngmod.fold_seed(seed, rngmod.STREAM_DATASET, idx),
-                                   min_samples=min_samples, resamples=resamples)
+                                   store=store, min_samples=min_samples)
         except NoUsableOutcomes as exc:
             logger.info("unscorable report %s: %s", report.source_id, exc)
             unscorable.append(report.source_id)

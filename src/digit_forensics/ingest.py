@@ -76,6 +76,8 @@ def load_csv(path, *, delimiter: str = ",", header: bool = True,
     Needs at least one numeric column and two data rows.
     """
     path = Path(path)
+    if not isinstance(delimiter, str) or len(delimiter) != 1:
+        raise MalformedCsv(f"delimiter must be a single character, got {delimiter!r}")
     try:
         with path.open(newline="", encoding="utf-8") as fh:
             rows = list(csv.reader(fh, delimiter=delimiter))
@@ -199,7 +201,8 @@ def load_report(path) -> ReportedStats:
     path = Path(path)
     try:
         doc = json.loads(path.read_text(encoding="utf-8"))
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except ValueError as exc:
+        # JSONDecodeError, UnicodeDecodeError, and integers too long to parse
         raise SchemaViolation(f"{path}: not valid JSON ({exc})") from exc
     if not isinstance(doc, dict):
         raise SchemaViolation(f"{path}: top-level value must be an object")
@@ -221,7 +224,7 @@ def load_report(path) -> ReportedStats:
         parsed: list[float] = []
         for i, value in enumerate(entries):
             if isinstance(value, bool) or not isinstance(value, (int, float)) \
-                    or not math.isfinite(value):
+                    or not math.isfinite(_as_float(value)):
                 raise SchemaViolation(
                     f"{path}: {pointer}/{i} must be a finite number, got {value!r}",
                     pointer=f"{pointer}/{i}")
@@ -239,3 +242,11 @@ def load_report(path) -> ReportedStats:
                 pointer=f"/metadata/{key}")
         metadata[key] = value
     return ReportedStats(source_id=source_id, groups=groups, metadata=metadata)
+
+
+def _as_float(value: int | float) -> float:
+    """``float(value)``, with integers beyond the double range as infinity."""
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf

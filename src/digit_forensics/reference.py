@@ -18,10 +18,10 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from . import rng as rngmod
-from .digits import DigitHistogram, check_pmf, extract_digits
-from .errors import TooManySkips, UncalibratedReference
+from .digits import check_pmf, extract_digits
+from .errors import CacheMiss, TooManySkips, UncalibratedReference
 from .operators import OperatorKind, operator_index
-from .scoring import ks_p_value
+from .scoring import ks_distances, ks_tail
 
 SIZE_BUCKETS = (1, 2, 5, 10, 20, 50, 100, 200, 500, 1000)
 
@@ -225,13 +225,13 @@ def generate_reference(op: OperatorKind, cfg: SynthesisConfig) -> ReferenceDistr
 
 
 def calibrate_floor(ref: ReferenceDistribution, cfg: SynthesisConfig,
-                    observed_len: int, null_samples: int = 1000,
-                    resamples: int = 2000) -> ReferenceDistribution:
+                    observed_len: int, null_samples: int = 1000) -> ReferenceDistribution:
     """Attach the normalisation floor for samples of ``observed_len`` digits.
 
     Draws ``null_samples`` conforming observation sets from the reference
-    pmf, scores each with the KS machinery, and records the worst raw
-    score (1 - p) as the floor. Same seed, same floor, exactly.
+    pmf and records the worst raw score (1 - p) among them as the floor.
+    The raw score rises with the KS distance, so that is 1 - p at the
+    largest distance drawn. Same seed, same floor, exactly.
     """
     if observed_len < 1:
         raise ValueError("observed_len must be >= 1")
@@ -240,11 +240,8 @@ def calibrate_floor(ref: ReferenceDistribution, cfg: SynthesisConfig,
     gen = rngmod.substream(cfg.seed, rngmod.STREAM_CALIBRATE, operator_index(ref.operator),
                            ref.entries_per_vector, observed_len)
     pmf = np.asarray(ref.pmf)
-    worst = 0.0
-    for _ in range(null_samples):
-        sample = DigitHistogram(gen.multinomial(observed_len, pmf))
-        result = ks_p_value(sample, pmf, resamples=resamples, rng=gen)
-        worst = max(worst, 1.0 - result.p_value)
+    null_counts = gen.multinomial(observed_len, pmf, size=null_samples)
+    worst = 1.0 - ks_tail(observed_len, pmf, float(ks_distances(null_counts, pmf).max()))
     return dataclasses.replace(ref, calibration_floor=float(worst),
                                observed_len=int(observed_len),
                                calibration_samples=int(null_samples))
@@ -259,21 +256,18 @@ class ReferenceStore:
     """
 
     def __init__(self, *, seed: int, cache=None, mc_draws: int = 100_000,
-                 calibration_samples: int = 1000, calibration_resamples: int = 2000,
+                 calibration_samples: int = 1000,
                  decade_span: int = 3, center_range: tuple[float, float] = (-3.0, 3.0)):
         self.seed = seed
         self.cache = cache
         self.mc_draws = mc_draws
         self.calibration_samples = calibration_samples
-        self.calibration_resamples = calibration_resamples
         self.decade_span = decade_span
         self.center_range = center_range
         self._memo: dict[ReferenceKey, ReferenceDistribution] = {}
 
     def get(self, op: OperatorKind, entries_per_vector: int,
             observed_len: int) -> ReferenceDistribution:
-        from .errors import CacheMiss  # local to keep module deps one-way
-
         key = ReferenceKey(op.value, size_bucket(entries_per_vector),
                            size_bucket(observed_len))
         hit = self._memo.get(key)
@@ -292,8 +286,7 @@ class ReferenceStore:
                               center_range=self.center_range, mc_draws=self.mc_draws)
         ref = generate_reference(op, cfg)
         ref = calibrate_floor(ref, cfg, observed_len=key.observed_len_bucket,
-                              null_samples=self.calibration_samples,
-                              resamples=self.calibration_resamples)
+                              null_samples=self.calibration_samples)
         if self.cache is not None:
             self.cache.store(ref)
         self._memo[key] = ref

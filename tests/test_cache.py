@@ -12,23 +12,21 @@ from digit_forensics import (
     calibrate_floor,
     generate_reference,
 )
-from digit_forensics.cache import checksum, entry_payload
+from digit_forensics.cache import CACHE_VERSION, checksum, entry_payload
 
 
 @pytest.fixture(scope="module")
 def calibrated_ref():
     cfg = SynthesisConfig(entries_per_vector=1, seed=11, mc_draws=1_000)
     ref = generate_reference(OperatorKind.MEAN, cfg)
-    return calibrate_floor(ref, cfg, observed_len=10, null_samples=5,
-                           resamples=50)
+    return calibrate_floor(ref, cfg, observed_len=10, null_samples=5)
 
 
 @pytest.fixture(scope="module")
 def second_ref():
     cfg = SynthesisConfig(entries_per_vector=2, seed=11, mc_draws=1_000)
     ref = generate_reference(OperatorKind.STD, cfg)
-    return calibrate_floor(ref, cfg, observed_len=20, null_samples=5,
-                           resamples=50)
+    return calibrate_floor(ref, cfg, observed_len=20, null_samples=5)
 
 
 class TestEntryPayload:
@@ -135,6 +133,6 @@ class TestCorruption:
         }
         entry["checksum"] = checksum(entry)
         path = tmp_path / "c.json"
-        path.write_text(json.dumps({"version": 1, "entries": [entry]}))
+        path.write_text(json.dumps({"version": CACHE_VERSION, "entries": [entry]}))
         with pytest.raises(CorruptCache):
             ReferenceCache(path).load(OperatorKind.MEAN, 1, 10)

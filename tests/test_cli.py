@@ -8,7 +8,7 @@ import pytest
 
 from digit_forensics import benford_pmf
 
-FAST = ["--draws", "2000", "--calibration-samples", "20", "--resamples", "200"]
+FAST = ["--draws", "2000", "--calibration-samples", "20"]
 
 
 def run_cli(*args, env_extra=None, cwd=None):
@@ -85,7 +85,7 @@ class TestGenRef:
         # Different draw count, same cache: the cached entry must win.
         again = run_cli("gen-ref", "--operator", "mean", "--seed", "5",
                         "--cache", str(cache), "--draws", "4000",
-                        "--calibration-samples", "20", "--resamples", "200")
+                        "--calibration-samples", "20")
         assert out_json(again)["mc_draws"] == 2000
         assert again.stdout == first.stdout
 
@@ -122,8 +122,7 @@ class TestScoreStats:
     def test_flagged_report_exits_4(self, report_dir):
         proc = run_cli("score-stats", str(report_dir / "b.json"), "--n", "10",
                        "--seed", "1729", "--draws", "5000",
-                       "--calibration-samples", "50", "--resamples", "20000",
-                       "--flag-level", "0.9")
+                       "--calibration-samples", "50", "--flag-level", "0.9")
         assert proc.returncode == 4
         doc = out_json(proc)
         assert doc["flagged"] is True
@@ -142,6 +141,24 @@ class TestScoreStats:
         proc = run_cli("score-stats", str(report_dir / "a.json"),
                        "--flag-level", "1.5", *FAST)
         assert proc.returncode == 2
+
+    def test_huge_integer_exits_2_naming_the_field(self, tmp_path):
+        path = tmp_path / "huge.json"
+        path.write_text('{"source_id": "s", "groups": {"mean": [1.5, 1'
+                        + "0" * 400 + ']}}', encoding="utf-8")
+        proc = run_cli("score-stats", str(path), *FAST)
+        assert proc.returncode == 2
+        assert "/groups/mean/1" in proc.stderr.decode()
+        assert b"Traceback" not in proc.stderr
+
+    def test_monte_carlo_cache_version_refused(self, report_dir, tmp_path):
+        cache = tmp_path / "old.json"
+        cache.write_text(json.dumps({"version": 1, "entries": []}), encoding="utf-8")
+        proc = run_cli("score-stats", str(report_dir / "a.json"),
+                       "--cache", str(cache), *FAST)
+        assert proc.returncode == 2
+        assert "cache version 1 is not supported" in proc.stderr.decode()
+        assert b"Traceback" not in proc.stderr
 
 
 class TestScoreDataset:
@@ -168,10 +185,16 @@ class TestScoreDataset:
         assert proc.returncode == 2
         assert proc.stderr.decode().startswith("error:")
 
+    @pytest.mark.parametrize("delimiter", ["", ";;"])
+    def test_bad_delimiter_exits_2_naming_the_field(self, csv_path, delimiter):
+        proc = run_cli("score-dataset", str(csv_path), f"--delimiter={delimiter}", *FAST)
+        assert proc.returncode == 2
+        assert "delimiter" in proc.stderr.decode()
+        assert b"Traceback" not in proc.stderr
+
 
 class TestValidate:
-    FAST_VALIDATE = ["--draws", "3000", "--calibration-samples", "30",
-                     "--resamples", "500"]
+    FAST_VALIDATE = ["--draws", "3000", "--calibration-samples", "30"]
 
     def test_synthetic_round_trip(self, tmp_path):
         out = tmp_path / "result.json"
@@ -227,10 +250,26 @@ class TestScanCorpus:
         proc = run_cli("scan-corpus", str(reports), *FAST)
         assert proc.returncode == 2
 
+    @pytest.mark.parametrize("make", [False, True], ids=["missing", "empty"])
+    def test_missing_or_empty_dir_exits_2(self, tmp_path, make):
+        reports = tmp_path / "reports"
+        if make:
+            reports.mkdir()
+        proc = run_cli("scan-corpus", str(reports), *FAST)
+        assert proc.returncode == 2
+        assert str(reports) in proc.stderr.decode()
+        assert b"Traceback" not in proc.stderr
+
 
 class TestParser:
     def test_no_command_exits_2(self):
         assert run_cli().returncode == 2
+
+    def test_import_loads_no_scipy(self):
+        # start-up time dominates one-off CLI calls; scoring needs numpy only
+        code = ("import sys, digit_forensics.cli; "
+                "sys.exit(any(m.split('.')[0] == 'scipy' for m in sys.modules))")
+        assert subprocess.run([sys.executable, "-c", code]).returncode == 0
 
     @pytest.mark.parametrize("command", ["gen-ref", "score-dataset",
                                          "score-stats", "validate",

@@ -20,7 +20,7 @@ from digit_forensics import (
 from digit_forensics import harness
 from digit_forensics.harness import LABEL_CLEAN, LABEL_MANIPULATED
 from digit_forensics.ingest import ComputedStats
-from digit_forensics.rng import STREAM_DATASET, STREAM_NOISE, STREAM_PAIRS, fold_seed, substream
+from digit_forensics.rng import STREAM_NOISE, STREAM_PAIRS, fold_seed, substream
 from digit_forensics.scoring import AggregateOutcome, TestOutcome
 
 
@@ -166,8 +166,7 @@ class TestRunValidation:
     def test_identity_noise_scores_match_clean_scoring(self, small_store):
         datasets = synthetic_corpus(4, seed=11)
         spec = NoiseSpec(min_fraction=0.0, max_fraction=0.0, seed=11)
-        result = run_validation(datasets, spec, store=small_store, seed=11,
-                                resamples=2_000)
+        result = run_validation(datasets, spec, store=small_store, seed=11)
         assert {r.truth for r in result.per_dataset} == {LABEL_CLEAN,
                                                          LABEL_MANIPULATED}
         by_name = {r.name: r for r in result.per_dataset}
@@ -176,9 +175,7 @@ class TestRunValidation:
                                   pair_seed=fold_seed(11, STREAM_PAIRS, idx))
             clean = score_groups(stats.groups(),
                                  entries_per_vector=dataset.n_rows,
-                                 store=small_store,
-                                 seed=fold_seed(11, STREAM_DATASET, idx),
-                                 resamples=2_000)
+                                 store=small_store)
             assert by_name[dataset.name].overall == clean.overall
 
     def test_unscorable_datasets_excluded_and_listed(self, small_store):
@@ -186,7 +183,7 @@ class TestRunValidation:
         thin_b = DatasetMatrix("thin-b", [("c", np.array([2.0, 4.0, 8.0]))], 3)
         datasets = synthetic_corpus(2, seed=8) + [thin_a, thin_b]
         result = run_validation(datasets, NoiseSpec(seed=8), store=small_store,
-                                seed=8, resamples=2_000)
+                                seed=8)
         assert [name for name, _ in result.excluded] == ["thin-a", "thin-b"]
         assert result.matrix.total == 2
         assert len(result.per_dataset) == 2
@@ -194,7 +191,7 @@ class TestRunValidation:
     def test_metrics_recomputable_from_matrix(self, small_store):
         datasets = synthetic_corpus(4, seed=13)
         result = run_validation(datasets, NoiseSpec(seed=13), store=small_store,
-                                seed=13, resamples=2_000)
+                                seed=13)
         accuracy, f1 = confusion_metrics(result.matrix)
         assert result.accuracy == accuracy
         assert result.f1_per_class == f1
@@ -259,8 +256,7 @@ class TestScanCorpus:
                                                         9.5, 9.6, 9.7, 9.8,
                                                         9.9, 9.15, 9.25, 9.35]}),
         ]
-        result = scan_corpus(reports, store=small_store, seed=6,
-                             resamples=2_000)
+        result = scan_corpus(reports, store=small_store)
         ids = [sid for sid, _ in result.scores]
         assert ids == ["src-9", "src-b"]
         assert result.table.unscorable == ("src-thin",)
@@ -270,8 +266,7 @@ class TestScanCorpus:
 
     def test_flag_rows_recount_from_scores(self, small_store):
         reports = [self.conforming(f"src-{i}") for i in range(3)]
-        result = scan_corpus(reports, store=small_store, seed=6,
-                             levels=(0.5, 0.9), resamples=2_000)
+        result = scan_corpus(reports, store=small_store, levels=(0.5, 0.9))
         scores = dict(result.scores)
         for row in result.table.rows:
             expected = sorted(sid for sid, s in scores.items()
@@ -280,8 +275,8 @@ class TestScanCorpus:
 
     def test_deterministic(self, small_store):
         reports = [self.conforming(f"src-{i}") for i in range(3)]
-        a = scan_corpus(reports, store=small_store, seed=6, resamples=2_000)
-        b = scan_corpus(reports, store=small_store, seed=6, resamples=2_000)
+        a = scan_corpus(reports, store=small_store)
+        b = scan_corpus(reports, store=small_store)
         assert a == b
 
 

@@ -143,8 +143,7 @@ def mean_ref():
 class TestCalibrateFloor:
     def test_floor_in_unit_interval_and_recorded(self, mean_ref):
         ref, cfg = mean_ref
-        cal = calibrate_floor(ref, cfg, observed_len=20, null_samples=50,
-                              resamples=200)
+        cal = calibrate_floor(ref, cfg, observed_len=20, null_samples=50)
         assert cal.is_calibrated
         assert 0.0 <= cal.calibration_floor < 1.0
         assert cal.observed_len == 20
@@ -152,18 +151,15 @@ class TestCalibrateFloor:
 
     def test_deterministic(self, mean_ref):
         ref, cfg = mean_ref
-        a = calibrate_floor(ref, cfg, observed_len=10, null_samples=30,
-                            resamples=200)
-        b = calibrate_floor(ref, cfg, observed_len=10, null_samples=30,
-                            resamples=200)
+        a = calibrate_floor(ref, cfg, observed_len=10, null_samples=30)
+        b = calibrate_floor(ref, cfg, observed_len=10, null_samples=30)
         assert a.calibration_floor == b.calibration_floor
 
     def test_key_requires_calibration(self, mean_ref):
         ref, cfg = mean_ref
         with pytest.raises(UncalibratedReference):
             ref.key
-        cal = calibrate_floor(ref, cfg, observed_len=10, null_samples=5,
-                              resamples=50)
+        cal = calibrate_floor(ref, cfg, observed_len=10, null_samples=5)
         assert cal.key == ("mean", 1, 10)
 
     def test_rejects_bad_arguments(self, mean_ref):
@@ -194,24 +190,20 @@ class TestReferenceStore:
         assert ref is small_store.get(OperatorKind.MEAN, 11, 22)
 
     def test_same_parameters_rebuild_identically(self):
-        a = ReferenceStore(seed=41, mc_draws=2_000, calibration_samples=5,
-                           calibration_resamples=50)
-        b = ReferenceStore(seed=41, mc_draws=2_000, calibration_samples=5,
-                           calibration_resamples=50)
+        a = ReferenceStore(seed=41, mc_draws=2_000, calibration_samples=5)
+        b = ReferenceStore(seed=41, mc_draws=2_000, calibration_samples=5)
         assert a.get(OperatorKind.MEAN, 2, 10) == b.get(OperatorKind.MEAN, 2, 10)
 
     def test_cache_round_trip_skips_regeneration(self, tmp_path):
         path = tmp_path / "refs.json"
         first = ReferenceStore(seed=3, cache=ReferenceCache(path),
-                               mc_draws=1_000, calibration_samples=5,
-                               calibration_resamples=50)
+                               mc_draws=1_000, calibration_samples=5)
         built = first.get(OperatorKind.MEAN, 1, 10)
         assert path.exists()
         # A store with different draw settings must return the cached entry
         # untouched, proving the cache was hit instead of regenerating.
         second = ReferenceStore(seed=3, cache=ReferenceCache(path),
-                                mc_draws=2_000, calibration_samples=5,
-                                calibration_resamples=50)
+                                mc_draws=2_000, calibration_samples=5)
         loaded = second.get(OperatorKind.MEAN, 1, 10)
         assert loaded == built
         assert loaded.mc_draws == 1_000

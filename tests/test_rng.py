@@ -41,7 +41,6 @@ def test_negative_parts_rejected():
 
 
 def test_stream_tags_distinct():
-    tags = [rngmod.STREAM_GENERATE, rngmod.STREAM_CALIBRATE, rngmod.STREAM_SCORE,
-            rngmod.STREAM_NOISE, rngmod.STREAM_SPLIT, rngmod.STREAM_CORPUS,
-            rngmod.STREAM_PAIRS, rngmod.STREAM_DATASET]
+    tags = [rngmod.STREAM_GENERATE, rngmod.STREAM_CALIBRATE, rngmod.STREAM_NOISE,
+            rngmod.STREAM_SPLIT, rngmod.STREAM_CORPUS, rngmod.STREAM_PAIRS]
     assert len(set(tags)) == len(tags)
