@@ -8,7 +8,7 @@ from its reference, and turns the distance into a calibrated anomaly
 probability suitable for flagging sources that warrant a closer look.
 """
 from .cache import ReferenceCache
-from .digits import DigitHistogram, benford_pmf, extract_digits, histogram, leading_digit
+from .digits import DigitHistogram, benford_pmf, extract_digits, histogram
 from .errors import (
     CacheMiss,
     CorruptCache,
@@ -22,7 +22,6 @@ from .errors import (
     TooManySkips,
     UncalibratedReference,
     UnknownOperator,
-    ZeroOrNonFinite,
 )
 from .harness import (
     ConfusionMatrix,
@@ -45,7 +44,7 @@ from .ingest import (
     load_csv,
     load_report,
 )
-from .operators import OperatorKind, apply_operator
+from .operators import OperatorKind
 from .reference import (
     ReferenceDistribution,
     ReferenceKey,
@@ -54,7 +53,6 @@ from .reference import (
     calibrate_floor,
     generate_reference,
     size_bucket,
-    synth_benford_vector,
 )
 from .scoring import (
     AggregateOutcome,
@@ -104,9 +102,7 @@ __all__ = [
     "UncalibratedReference",
     "UnknownOperator",
     "ValidationResult",
-    "ZeroOrNonFinite",
     "aggregate",
-    "apply_operator",
     "benford_pmf",
     "build_flag_table",
     "calibrate_floor",
@@ -119,7 +115,6 @@ __all__ = [
     "inject_noise",
     "ks_discrete",
     "ks_p_value",
-    "leading_digit",
     "load_csv",
     "load_report",
     "normalize_score",
@@ -128,6 +123,5 @@ __all__ = [
     "score_groups",
     "score_operator",
     "size_bucket",
-    "synth_benford_vector",
     "synthetic_corpus",
 ]

@@ -58,6 +58,10 @@ class ReferenceCache:
 
     def __init__(self, path):
         self.path = Path(path)
+        # Every load reads the file, but only bytes that differ from the
+        # last ones read are parsed and checksummed again.
+        self._raw: bytes | None = None
+        self._entries: dict[ReferenceKey, dict] = {}
 
     def load(self, operator: OperatorKind, entries_per_vector: int,
              observed_len_bucket: int) -> ReferenceDistribution:
@@ -70,15 +74,19 @@ class ReferenceCache:
 
     def store(self, ref: ReferenceDistribution) -> None:
         payload = entry_payload(ref, with_checksum=True)
-        entries = self._read() if self.path.exists() else {}
+        entries = dict(self._read())
         entries[ReferenceKey(*_key_of(payload))] = payload
         self._write(entries)
 
     def _read(self) -> dict[ReferenceKey, dict]:
-        if not self.path.exists():
-            return {}
         try:
-            doc = json.loads(self.path.read_text(encoding="utf-8"))
+            raw = self.path.read_bytes()
+        except FileNotFoundError:
+            return {}
+        if raw == self._raw:
+            return self._entries
+        try:
+            doc = json.loads(raw.decode("utf-8"))
         except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise CorruptCache(f"{self.path}: not valid JSON ({exc})") from exc
         if not isinstance(doc, dict) or "version" not in doc:
@@ -98,6 +106,7 @@ class ReferenceCache:
             if entry.get("checksum") != checksum(entry):
                 raise CorruptCache(f"{self.path}: entry {i} failed its checksum")
             entries[ReferenceKey(*_key_of(entry))] = entry
+        self._raw, self._entries = raw, entries
         return entries
 
     def _write(self, entries: dict[ReferenceKey, dict]) -> None:
@@ -134,5 +143,5 @@ def _from_entry(entry: dict) -> ReferenceDistribution:
             calibration_samples=int(entry["calibration_samples"]),
             seed=int(entry["seed"]),
         )
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise CorruptCache(f"invalid cache entry: {exc}") from exc

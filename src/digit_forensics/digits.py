@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import EmptyHistogram, ZeroOrNonFinite
+from .errors import EmptyHistogram
 
 # widest plausible drift of the scaled significand: four roundings of
 # ~2^-53 each, stretched to s <= 10, leaves errors below ~5e-15
@@ -21,18 +21,6 @@ _BENFORD.setflags(write=False)
 def benford_pmf() -> np.ndarray:
     """The base first-digit law as a read-only 9-vector (index = digit - 1)."""
     return _BENFORD
-
-
-def leading_digit(x: float) -> int:
-    """First significant decimal digit of ``|x|``.
-
-    Raises ZeroOrNonFinite for 0, NaN, and infinities: those values carry
-    no digit and must be skipped (and counted) by callers.
-    """
-    digits, skipped = extract_digits(np.asarray([x], dtype=float))
-    if skipped:
-        raise ZeroOrNonFinite(f"no leading digit for {x!r}")
-    return int(digits[0])
 
 
 def extract_digits(values: np.ndarray) -> tuple[np.ndarray, int]:
@@ -142,11 +130,3 @@ def check_pmf(probs, atol: float = 1e-9) -> np.ndarray:
         raise ValueError(f"pmf sums to {arr.sum()!r}, not 1")
     return arr
 
-
-def cdf(source) -> np.ndarray:
-    """Cumulative distribution over digits 1..9 for a histogram or a pmf."""
-    if isinstance(source, DigitHistogram):
-        probs = source.frequencies()
-    else:
-        probs = check_pmf(source)
-    return np.cumsum(probs)

@@ -5,10 +5,6 @@ class DigitForensicsError(Exception):
     """Base class for all library errors."""
 
 
-class ZeroOrNonFinite(DigitForensicsError, ValueError):
-    """The value is zero, NaN, or infinite and has no leading digit."""
-
-
 class EmptyHistogram(DigitForensicsError, ValueError):
     """A digit histogram with no observations was used where counts are required."""
 

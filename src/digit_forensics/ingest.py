@@ -12,11 +12,14 @@ import numpy as np
 
 from . import rng as rngmod
 from .errors import MalformedCsv, NoNumericColumns, SchemaViolation, UnknownOperator
-from .operators import OperatorKind
+from .operators import OperatorKind, RowMoments, row_moments
 
 logger = logging.getLogger(__name__)
 
 DEFAULT_PAIR_CAP = 200
+
+# Cells of one block of slope pairs; bounds the memory of compute_stats.
+_BLOCK_CELLS = 1 << 14
 
 
 @dataclass
@@ -146,49 +149,46 @@ def compute_stats(dataset: DatasetMatrix, pair_cap: int = DEFAULT_PAIR_CAP,
     NA cells are skipped per statistic (pairwise deletion). Slopes cover
     every ordered feature pair (j, k), feature k regressed on feature j;
     when the pair count exceeds ``pair_cap`` a seeded uniform subsample
-    is taken, reproducible under ``pair_seed``.
+    is taken, reproducible under ``pair_seed``. A pair is degenerate, and
+    gives no slope, when its regressor is flat over the rows both
+    features share: fewer than two such rows, or one repeated value.
     """
     if pair_cap < 0:
         raise ValueError("pair_cap must be non-negative")
-    values = [col for _, col in dataset.columns]
-    f = len(values)
+    f = dataset.n_features
     if f < 1:
         raise NoNumericColumns(f"{dataset.name}: dataset has no feature columns")
-    means = np.empty(f)
-    stds = np.empty(f)
-    for j, col in enumerate(values):
-        good = col[np.isfinite(col)]
-        means[j] = good.mean() if good.size >= 1 else np.nan
-        stds[j] = good.std(ddof=1) if good.size >= 2 else np.nan
-    pairs = [(j, k) for j in range(f) for k in range(f) if j != k]
-    if len(pairs) > pair_cap:
+    block = np.stack([col for _, col in dataset.columns])
+    n = block.shape[1]
+    finite = np.isfinite(block)
+    complete = bool(finite.all())
+    features = row_moments(block, None if complete else finite)
+    regressors, responses = np.nonzero(~np.eye(f, dtype=bool))
+    if regressors.size > pair_cap:
         gen = rngmod.substream(pair_seed, rngmod.STREAM_PAIRS)
-        keep = np.sort(gen.choice(len(pairs), size=pair_cap, replace=False))
-        pairs = [pairs[int(i)] for i in keep]
-    slopes: list[float] = []
-    kept: list[tuple[int, int]] = []
-    degenerate: list[tuple[int, int]] = []
-    for j, k in pairs:
-        x, y = values[j], values[k]
-        mask = np.isfinite(x) & np.isfinite(y)
-        if int(mask.sum()) < 2:
-            degenerate.append((j, k))
-            continue
-        xm = x[mask]
-        ym = y[mask]
-        xc = xm - xm.mean()
-        denom = float((xc ** 2).sum())
-        if denom == 0.0:
-            degenerate.append((j, k))
-            continue
-        slopes.append(float((xc * (ym - ym.mean())).sum() / denom))
-        kept.append((j, k))
+        keep = np.sort(gen.choice(regressors.size, size=pair_cap, replace=False))
+        regressors, responses = regressors[keep], responses[keep]
+    slopes = np.empty(regressors.size)
+    step = max(1, _BLOCK_CELLS // max(1, n))
+    for start in range(0, regressors.size, step):
+        j, k = regressors[start:start + step], responses[start:start + step]
+        # Without blanks the features' own moments serve every pair.
+        if complete:
+            x, y = (RowMoments(n, features.mean[r], features.dev[r]) for r in (j, k))
+        else:
+            paired = finite[j] & finite[k]
+            x, y = row_moments(block[j], paired), row_moments(block[k], paired)
+        slopes[start:start + step] = x.slope(y)
+    flat = np.isnan(slopes)
+    degenerate = tuple(zip(regressors[flat].tolist(), responses[flat].tolist()))
     if degenerate:
         logger.info("%s: %d degenerate slope pairs skipped", dataset.name,
                     len(degenerate))
-    return ComputedStats(means=means, stds=stds, slopes=np.asarray(slopes),
+    return ComputedStats(means=features.mean, stds=features.std(), slopes=slopes[~flat],
                          n_rows=dataset.n_rows, n_features=f,
-                         slope_pairs=tuple(kept), degenerate_pairs=tuple(degenerate))
+                         slope_pairs=tuple(zip(regressors[~flat].tolist(),
+                                               responses[~flat].tolist())),
+                         degenerate_pairs=degenerate)
 
 
 def load_report(path) -> ReportedStats:

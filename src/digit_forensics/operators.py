@@ -1,11 +1,22 @@
-"""Statistical operators whose outputs get screened."""
+"""Statistical operators whose outputs get screened.
+
+All three come from one row-wise kernel, ``row_moments``: count, mean and
+centred deviations of each row of a (rows, n) block. Deviations are taken
+from the row mean before they are multiplied, never as E[xy] - E[x]E[y],
+which cancels catastrophically (Chan, Golub & LeVeque 1983). Reductions
+are element-wise sums along contiguous rows, not BLAS products, so an
+unmasked row gives the same bits as the 1-D numpy call on its values.
+"""
 from __future__ import annotations
 
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DegenerateInput, UnknownOperator
+from .errors import UnknownOperator
+
+_EPS = float(np.finfo(float).eps)
 
 
 class OperatorKind(str, Enum):
@@ -31,40 +42,64 @@ def operator_index(op: OperatorKind) -> int:
     return OPERATOR_ORDER.index(op)
 
 
-def apply_operator(op: OperatorKind, values, second=None) -> float:
-    """Apply one operator to a vector (or a pair of vectors for the slope).
+class RowMoments(NamedTuple):
+    """Per-row moments of a (rows, n) block; see ``row_moments``."""
 
-    Mean is the arithmetic mean, std the sample standard deviation (n-1
-    denominator), and ols_slope the simple-regression slope of ``second``
-    on ``values``: cov(x, y) / var(x).
+    count: int | np.ndarray  # kept cells per row; an int when nothing is masked
+    mean: np.ndarray
+    dev: np.ndarray  # x - mean on kept cells, 0 elsewhere
+
+    def sum_squares(self) -> np.ndarray:
+        return (self.dev * self.dev).sum(axis=1)
+
+    def std(self) -> np.ndarray:
+        """Sample standard deviation (n - 1 denominator); NaN below 2 kept cells."""
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.sqrt(self.sum_squares() / np.maximum(self.count - 1, 0))
+
+    def slope(self, response: "RowMoments") -> np.ndarray:
+        """sum(xc * yc) / sum(xc**2): NaN for a flat regressor, 0.0 for a flat response."""
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return (self.dev * response.dev).sum(axis=1) / self.sum_squares()
+
+
+def row_means(x: np.ndarray) -> np.ndarray:
+    """Mean of each row of ``x``: ``x.mean(axis=1)``, bit for bit."""
+    return x.sum(axis=1) / x.shape[1]
+
+
+def row_moments(x: np.ndarray, mask: np.ndarray | None = None) -> RowMoments:
+    """Count, mean and centred deviations of each row of ``x`` under ``mask``.
+
+    Cells outside ``mask`` are left out, whatever they hold; a row with no
+    kept cell has a NaN mean. A row whose kept values are all equal is
+    flat: its deviations are exactly 0, so its std is 0.0 and it is
+    degenerate as a regressor.
     """
-    x = np.asarray(values, dtype=float)
-    if op is OperatorKind.MEAN:
-        _reject_second(op, second)
-        if x.size < 1:
-            raise DegenerateInput("mean needs at least 1 value")
-        return float(x.mean())
-    if op is OperatorKind.STD:
-        _reject_second(op, second)
-        if x.size < 2:
-            raise DegenerateInput("sample std needs at least 2 values")
-        return float(x.std(ddof=1))
-    if op is OperatorKind.OLS_SLOPE:
-        if second is None:
-            raise DegenerateInput("ols_slope needs a regressor and a response vector")
-        y = np.asarray(second, dtype=float)
-        if x.size != y.size:
-            raise DegenerateInput(f"vector lengths differ: {x.size} vs {y.size}")
-        if x.size < 2:
-            raise DegenerateInput("ols_slope needs at least 2 paired values")
-        xc = x - x.mean()
-        denom = float((xc ** 2).sum())
-        if denom == 0.0:
-            raise DegenerateInput("regressor has zero variance")
-        return float((xc * (y - y.mean())).sum() / denom)
-    raise UnknownOperator(f"unknown operator {op!r}")
-
-
-def _reject_second(op: OperatorKind, second) -> None:
-    if second is not None:
-        raise DegenerateInput(f"{op.value} takes a single vector")
+    if mask is None:
+        count, mean = x.shape[1], row_means(x)
+        dev = x - mean[:, None]
+    else:
+        # With sparse blanks the left-out cells sit in few columns; count
+        # and zero them there rather than over the whole block.
+        cols = np.flatnonzero(~mask.all(axis=0))
+        keep = mask[:, cols]
+        count = x.shape[1] - cols.size + np.count_nonzero(keep, axis=1)
+        with np.errstate(invalid="ignore"):
+            mean = x.sum(axis=1, where=mask) / count
+        dev = x - mean[:, None]
+        dev[:, cols] = np.where(keep, dev[:, cols], 0.0)
+    # The mean of a flat row can miss its value by rounding, which would
+    # leave every deviation at the same tiny nonzero value (31 cells of 3.3
+    # give a std of 9e-16). Only rows whose first kept deviation is within
+    # that rounding are compared exactly.
+    first = np.zeros(x.shape[0], dtype=np.intp) if mask is None else mask.argmax(axis=1)
+    with np.errstate(invalid="ignore"):
+        near = np.flatnonzero(np.abs(dev[np.arange(x.shape[0]), first])
+                              <= 4.0 * count * _EPS * np.abs(mean))
+    if near.size:
+        same = x[near] == x[near, first[near]][:, None]
+        if mask is not None:
+            same |= ~mask[near]
+        dev[near[same.all(axis=1)]] = 0.0
+    return RowMoments(count, mean, dev)

@@ -20,7 +20,7 @@ import numpy as np
 from . import rng as rngmod
 from .digits import check_pmf, extract_digits
 from .errors import CacheMiss, TooManySkips, UncalibratedReference
-from .operators import OperatorKind, operator_index
+from .operators import OperatorKind, operator_index, row_means, row_moments
 from .scoring import ks_distances, ks_tail
 
 SIZE_BUCKETS = (1, 2, 5, 10, 20, 50, 100, 200, 500, 1000)
@@ -149,14 +149,6 @@ def _decade_offsets(center_range: tuple[float, float]) -> np.ndarray:
     return offsets
 
 
-def synth_benford_vector(cfg: SynthesisConfig, rng: np.random.Generator) -> np.ndarray:
-    """One synthetic vector whose entries obey the base digit law."""
-    offsets = _decade_offsets(cfg.center_range)
-    c = float(offsets[rng.integers(0, offsets.size)])
-    w = c + rng.uniform(0.0, float(cfg.decade_span), size=cfg.entries_per_vector)
-    return 10.0 ** w
-
-
 def _synth_block(cfg: SynthesisConfig, rng: np.random.Generator, count: int) -> np.ndarray:
     """``count`` synthetic vectors as a (count, entries) matrix."""
     offsets = _decade_offsets(cfg.center_range)
@@ -168,20 +160,13 @@ def _synth_block(cfg: SynthesisConfig, rng: np.random.Generator, count: int) -> 
 
 def _operator_outputs(op: OperatorKind, cfg: SynthesisConfig,
                       rng: np.random.Generator, count: int) -> np.ndarray:
-    if op is OperatorKind.MEAN:
-        return _synth_block(cfg, rng, count).mean(axis=1)
-    if op is OperatorKind.STD:
-        if cfg.entries_per_vector < 2:
-            return np.full(count, np.nan)
-        return _synth_block(cfg, rng, count).std(axis=1, ddof=1)
-    # slope of y on x over pairs of independent synthetic vectors
     x = _synth_block(cfg, rng, count)
-    y = _synth_block(cfg, rng, count)
-    xc = x - x.mean(axis=1, keepdims=True)
-    denom = (xc ** 2).sum(axis=1)
-    num = (xc * (y - y.mean(axis=1, keepdims=True))).sum(axis=1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return num / denom
+    if op is OperatorKind.MEAN:
+        return row_means(x)
+    if op is OperatorKind.STD:
+        return row_moments(x).std()
+    # slope of y on x over pairs of independent synthetic vectors
+    return row_moments(x).slope(row_moments(_synth_block(cfg, rng, count)))
 
 
 def generate_reference(op: OperatorKind, cfg: SynthesisConfig) -> ReferenceDistribution:

@@ -202,13 +202,18 @@ def score_operator(values, op: OperatorKind, ref: "ReferenceDistribution",
     Returns a TestOutcome, or InsufficientData when fewer than
     ``min_samples`` values carry a usable leading digit.
     """
-    if not ref.is_calibrated:
-        raise UncalibratedReference(
-            f"reference {ref.operator.value}/n={ref.entries_per_vector} has no floor")
     hist, skipped = histogram(values)
+    return _score_histogram(hist, skipped, op, ref, min_samples)
+
+
+def _score_histogram(hist: DigitHistogram, skipped: int, op: OperatorKind,
+                     ref: "ReferenceDistribution | None", min_samples: int):
     if hist.total < min_samples:
         return InsufficientData(op, usable=hist.total, required=min_samples,
                                 skipped=skipped)
+    if not ref.is_calibrated:
+        raise UncalibratedReference(
+            f"reference {ref.operator.value}/n={ref.entries_per_vector} has no floor")
     result = ks_p_value(hist, ref.pmf)
     raw = 1.0 - result.p_value
     return TestOutcome(
@@ -258,12 +263,7 @@ def score_groups(groups: Mapping, entries_per_vector: int, store: "ReferenceStor
     for op in OPERATOR_ORDER:
         if op not in normalized:
             continue
-        values = np.asarray(normalized[op], dtype=float)
-        hist, skipped = histogram(values)
-        if hist.total < min_samples:
-            outcomes.append(InsufficientData(op, usable=hist.total,
-                                             required=min_samples, skipped=skipped))
-            continue
-        ref = store.get(op, entries_per_vector, hist.total)
-        outcomes.append(score_operator(values, op, ref, min_samples))
+        hist, skipped = histogram(normalized[op])
+        ref = store.get(op, entries_per_vector, hist.total) if hist.total >= min_samples else None
+        outcomes.append(_score_histogram(hist, skipped, op, ref, min_samples))
     return aggregate(outcomes)

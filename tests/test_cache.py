@@ -1,4 +1,5 @@
 import json
+import os
 
 import pytest
 
@@ -136,3 +137,42 @@ class TestCorruption:
         path.write_text(json.dumps({"version": CACHE_VERSION, "entries": [entry]}))
         with pytest.raises(CorruptCache):
             ReferenceCache(path).load(OperatorKind.MEAN, 1, 10)
+
+
+class TestParseMemo:
+    def test_rewritten_file_is_reread(self, tmp_path, calibrated_ref, second_ref):
+        path = tmp_path / "c.json"
+        cache = ReferenceCache(path)
+        cache.store(calibrated_ref)
+        assert cache.load(OperatorKind.MEAN, 1, 10) == calibrated_ref
+        before = os.stat(path)
+        ReferenceCache(path).store(second_ref)  # another writer
+        os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))
+        assert cache.load(OperatorKind.STD, 2, 20) == second_ref
+
+    def test_byte_corrupted_after_first_load(self, tmp_path, calibrated_ref):
+        path = tmp_path / "c.json"
+        cache = ReferenceCache(path)
+        cache.store(calibrated_ref)
+        assert cache.load(OperatorKind.MEAN, 1, 10) == calibrated_ref
+        raw = bytearray(path.read_bytes())
+        at = raw.index(b'"seed": ') + len(b'"seed": ')
+        raw[at] = ord("9") if raw[at] != ord("9") else ord("8")
+        path.write_bytes(bytes(raw))
+        with pytest.raises(CorruptCache, match="checksum"):
+            cache.load(OperatorKind.MEAN, 1, 10)
+
+    def test_failed_store_leaves_loaded_entries(self, tmp_path, calibrated_ref,
+                                                second_ref, monkeypatch):
+        cache = ReferenceCache(tmp_path / "c.json")
+        cache.store(calibrated_ref)
+        cache.load(OperatorKind.MEAN, 1, 10)
+
+        def fail(entries):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(cache, "_write", fail)
+        with pytest.raises(OSError):
+            cache.store(second_ref)
+        with pytest.raises(CacheMiss):
+            cache.load(OperatorKind.STD, 2, 20)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from digit_forensics import benford_pmf
+from digit_forensics.cache import CACHE_VERSION, checksum
 
 FAST = ["--draws", "2000", "--calibration-samples", "20"]
 
@@ -158,6 +159,27 @@ class TestScoreStats:
                        "--cache", str(cache), *FAST)
         assert proc.returncode == 2
         assert "cache version 1 is not supported" in proc.stderr.decode()
+        assert b"Traceback" not in proc.stderr
+
+
+    @pytest.mark.parametrize("field,raw", [
+        ("calibration_floor", "1" + "0" * 400),
+        ("mc_draws", "Infinity"),
+    ], ids=["huge-floor", "infinite-draws"])
+    def test_out_of_range_cache_entry_exits_2(self, report_dir, tmp_path, field, raw):
+        entry = {"operator": "mean", "entries_per_vector": 20,
+                 "observed_len_bucket": 10, "pmf": [float(p) for p in benford_pmf()],
+                 "calibration_floor": 0.5, "mc_draws": 2000,
+                 "calibration_samples": 20, "seed": 1729}
+        entry[field] = json.loads(raw)
+        entry["checksum"] = checksum(entry)
+        cache = tmp_path / "bad.json"
+        cache.write_text(json.dumps({"version": CACHE_VERSION, "entries": [entry]}),
+                         encoding="utf-8")
+        proc = run_cli("score-stats", str(report_dir / "a.json"), "--n", "20",
+                       "--cache", str(cache), *FAST)
+        assert proc.returncode == 2
+        assert "invalid cache entry" in proc.stderr.decode()
         assert b"Traceback" not in proc.stderr
 
 

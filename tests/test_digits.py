@@ -7,13 +7,18 @@ import pytest
 from digit_forensics import (
     DigitHistogram,
     EmptyHistogram,
-    ZeroOrNonFinite,
     benford_pmf,
     extract_digits,
     histogram,
-    leading_digit,
 )
-from digit_forensics.digits import cdf, check_pmf
+from digit_forensics.digits import check_pmf
+from digit_forensics.scoring import ks_distances
+
+
+def leading_digit(x: float) -> int:
+    digits, skipped = extract_digits(np.asarray([x]))
+    assert skipped == 0 and digits.shape == (1,)
+    return int(digits[0])
 
 
 def exact_digit(x: float) -> int:
@@ -63,8 +68,9 @@ class TestLeadingDigit:
 
     @pytest.mark.parametrize("bad", [0.0, -0.0, float("nan"), float("inf"), -float("inf")])
     def test_rejects_unusable(self, bad):
-        with pytest.raises(ZeroOrNonFinite):
-            leading_digit(bad)
+        digits, skipped = extract_digits(np.asarray([bad]))
+        assert digits.size == 0
+        assert skipped == 1
 
     def test_matches_exact_decimal_oracle(self):
         rng = np.random.default_rng(42)
@@ -169,26 +175,35 @@ class TestHistogram:
         assert hash(a) == hash(b)
 
 
+def one_digit(d: int) -> np.ndarray:
+    counts = np.zeros(9, dtype=np.int64)
+    counts[d - 1] = 1
+    return counts
+
+
 class TestCdf:
+    """The reference cdf, seen through the KS distance of one-digit histograms."""
+
     def test_benford_endpoints(self):
-        values = cdf(benford_pmf())
-        assert values[0] == pytest.approx(math.log10(2), abs=1e-12)
-        assert values[8] == pytest.approx(1.0, abs=1e-12)
-        assert all(values[i] <= values[i + 1] for i in range(8))
+        pmf = benford_pmf()
+        # all mass on 1: the gap 1 - F(1) is largest; all mass on 9: F(8)
+        assert ks_distances(one_digit(1), pmf) == pytest.approx(1 - math.log10(2), abs=1e-12)
+        assert ks_distances(one_digit(9), pmf) == pytest.approx(math.log10(9), abs=1e-12)
 
     def test_uniform(self):
-        values = cdf(np.full(9, 1.0 / 9.0))
+        pmf = np.full(9, 1.0 / 9.0)
         for d in range(1, 10):
-            assert values[d - 1] == pytest.approx(d / 9, abs=1e-12)
+            assert ks_distances(one_digit(d), pmf) == pytest.approx(
+                max(d - 1, 9 - d) / 9, abs=1e-12)
 
     def test_all_ones_histogram(self):
         hist, _ = histogram([1.0, 1.5, 1.9])
-        assert np.allclose(cdf(hist), 1.0)
+        assert ks_distances(hist.counts, one_digit(1).astype(float)) == 0.0
 
     def test_empty_histogram_rejected(self):
         hist, _ = histogram([])
         with pytest.raises(EmptyHistogram):
-            cdf(hist)
+            ks_distances(hist.counts, benford_pmf())
 
 
 class TestCheckPmf:

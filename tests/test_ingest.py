@@ -14,6 +14,7 @@ from digit_forensics import (
     load_report,
 )
 from digit_forensics.ingest import DatasetMatrix
+from digit_forensics.rng import STREAM_PAIRS, substream
 
 
 def write_csv(tmp_path, text, name="data.csv"):
@@ -109,12 +110,22 @@ class TestComputeStats:
         assert stats.n_rows == 3
         assert stats.n_features == 2
 
-    def test_constant_feature_degenerate_as_regressor(self):
-        stats = compute_stats(matrix([5, 5, 5], [1, 2, 3]))
+    @pytest.mark.parametrize("rows", [3, 7, 31])
+    @pytest.mark.parametrize("value", [5.0, 0.1, 0.7, 3.3])
+    def test_constant_feature_degenerate_as_regressor(self, value, rows):
+        # the rounded mean of 0.1, 0.7 or 3.3 repeated misses the value
+        stats = compute_stats(matrix([value] * rows, np.arange(1.0, rows + 1)))
         assert stats.stds[0] == 0.0
         assert (0, 1) in stats.degenerate_pairs
         by_pair = dict(zip(stats.slope_pairs, stats.slopes))
         assert by_pair[(1, 0)] == 0.0  # constant response: flat slope
+
+    def test_constant_feature_with_blanks(self):
+        nan = float("nan")
+        stats = compute_stats(matrix([3.3, nan, 3.3, 3.3, 3.3], [1, 2, nan, 4, 8]))
+        assert stats.stds[0] == 0.0
+        assert stats.degenerate_pairs == ((0, 1),)
+        assert stats.slopes.tolist() == [0.0]
 
     def test_pair_cap_subsamples_reproducibly(self):
         m = matrix([1, 2, 3], [2, 4, 6], [5, 1, 9])
@@ -161,6 +172,99 @@ class TestComputeStats:
     def test_rejects_negative_pair_cap(self):
         with pytest.raises(ValueError):
             compute_stats(matrix([1, 2, 3]), pair_cap=-1)
+
+    def test_column_with_no_finite_cell(self):
+        nan = float("nan")
+        stats = compute_stats(matrix([nan, nan, nan], [1, 2, 4]))
+        assert np.isnan(stats.means[0]) and np.isnan(stats.stds[0])
+        assert stats.degenerate_pairs == ((0, 1), (1, 0))
+        assert stats.slopes.size == 0
+
+
+def loop_slopes(dataset, pair_cap, pair_seed):
+    """The per-pair loop compute_stats used before it was batched."""
+    values = [col for _, col in dataset.columns]
+    f = len(values)
+    pairs = [(j, k) for j in range(f) for k in range(f) if j != k]
+    if len(pairs) > pair_cap:
+        gen = substream(pair_seed, STREAM_PAIRS)
+        keep = np.sort(gen.choice(len(pairs), size=pair_cap, replace=False))
+        pairs = [pairs[int(i)] for i in keep]
+    slopes, kept, degenerate = [], [], []
+    for j, k in pairs:
+        x, y = values[j], values[k]
+        mask = np.isfinite(x) & np.isfinite(y)
+        if int(mask.sum()) < 2:
+            degenerate.append((j, k))
+            continue
+        xm = x[mask]
+        ym = y[mask]
+        xc = xm - xm.mean()
+        denom = float((xc ** 2).sum())
+        if denom == 0.0:
+            degenerate.append((j, k))
+            continue
+        slopes.append(float((xc * (ym - ym.mean())).sum() / denom))
+        kept.append((j, k))
+    return slopes, tuple(kept), tuple(degenerate)
+
+
+def random_dataset(seed, rows, features, blank_fraction):
+    """Log-uniform columns with blanks, one constant column, one nearly empty."""
+    gen = np.random.default_rng(seed)
+    data = 10.0 ** (gen.integers(-3, 4, size=features)[None, :]
+                    + gen.uniform(0.0, 3.0, size=(rows, features)))
+    data[gen.random(size=data.shape) < blank_fraction] = np.nan
+    if blank_fraction:
+        data[:, 1] = 3.3
+        data[1:, 2] = np.nan
+    return matrix(*data.T, name=f"random-{seed}")
+
+
+class TestComputeStatsMatchesLoop:
+    @pytest.mark.parametrize("seed,rows,features,pair_cap", [
+        (1, 20, 5, 200), (2, 200, 20, 200), (3, 57, 12, 40), (4, 3, 4, 200),
+        (5, 1500, 30, 200), (6, 90, 9, 0),
+    ])
+    def test_no_blanks_bit_identical(self, seed, rows, features, pair_cap):
+        dataset = random_dataset(seed, rows, features, 0.0)
+        stats = compute_stats(dataset, pair_cap=pair_cap, pair_seed=seed)
+        slopes, kept, degenerate = loop_slopes(dataset, pair_cap, seed)
+        assert stats.slope_pairs == kept
+        assert stats.degenerate_pairs == degenerate
+        assert stats.slopes.tolist() == slopes
+        block = np.stack([col for _, col in dataset.columns])
+        assert stats.means.tolist() == [col.mean() for col in block]
+        assert stats.stds.tolist() == [col.std(ddof=1) for col in block]
+
+    @pytest.mark.parametrize("seed,rows,features,pair_cap", [
+        (11, 30, 6, 200), (12, 200, 20, 200), (13, 8000, 30, 200),
+        (14, 5, 8, 200), (15, 400, 15, 50),
+    ])
+    def test_blanks_within_rounding(self, seed, rows, features, pair_cap):
+        dataset = random_dataset(seed, rows, features, 0.05 if rows < 1000 else 0.001)
+        stats = compute_stats(dataset, pair_cap=pair_cap, pair_seed=seed)
+        slopes, kept, degenerate = loop_slopes(dataset, pair_cap, seed)
+        # column 1 is constant: the loop scores its rounding noise as a
+        # slope, the batched kernel marks it degenerate
+        flat_x = tuple(p for p in kept if p[0] == 1)
+        assert flat_x or rows < 10
+        assert stats.slope_pairs == tuple(p for p in kept if p[0] != 1)
+        assert stats.degenerate_pairs == tuple(sorted(degenerate + flat_x))
+        expected = dict(zip(kept, slopes))
+        for pair, slope in zip(stats.slope_pairs, stats.slopes):
+            if pair[1] == 1:
+                assert slope == 0.0
+            else:
+                assert slope == pytest.approx(expected[pair], rel=1e-11, abs=0)
+        assert stats.stds[1] == 0.0
+        for j, (_, col) in enumerate(dataset.columns):
+            kept = col[np.isfinite(col)]
+            assert stats.means[j] == pytest.approx(kept.mean(), rel=1e-13)
+            if j == 2:  # a single finite cell has no sample std
+                assert np.isnan(stats.stds[j])
+            elif j != 1:
+                assert stats.stds[j] == pytest.approx(kept.std(ddof=1), rel=1e-12)
 
 
 class TestLoadReport:

@@ -12,10 +12,9 @@ from digit_forensics import (
     calibrate_floor,
     generate_reference,
     size_bucket,
-    synth_benford_vector,
 )
 from digit_forensics.digits import histogram
-from digit_forensics.reference import SIZE_BUCKETS
+from digit_forensics.reference import SIZE_BUCKETS, _synth_block
 from digit_forensics.rng import substream
 
 
@@ -70,20 +69,19 @@ class TestSynthVector:
     def test_range_forced_by_construction(self):
         cfg = SynthesisConfig(entries_per_vector=500, seed=3, decade_span=3,
                               center_range=(0.0, 0.0))
-        v = synth_benford_vector(cfg, substream(3, 0))
-        assert v.shape == (500,)
-        assert np.all((v >= 1.0) & (v < 1000.0))
+        block = _synth_block(cfg, substream(3, 0), 4)
+        assert block.shape == (4, 500)
+        assert np.all((block >= 1.0) & (block < 1000.0))
 
     def test_deterministic(self):
         cfg = SynthesisConfig(entries_per_vector=50, seed=9)
-        a = synth_benford_vector(cfg, substream(9, 0))
-        b = synth_benford_vector(cfg, substream(9, 0))
+        a = _synth_block(cfg, substream(9, 0), 3)
+        b = _synth_block(cfg, substream(9, 0), 3)
         assert np.array_equal(a, b)
 
     def test_digit_marginal_near_base_law(self):
         cfg = SynthesisConfig(entries_per_vector=50_000, seed=5)
-        v = synth_benford_vector(cfg, substream(5, 0))
-        hist, skipped = histogram(v)
+        hist, skipped = histogram(_synth_block(cfg, substream(5, 0), 1))
         assert skipped == 0
         assert tv_distance(hist.frequencies(), benford_pmf()) <= 0.02
 
