@@ -20,7 +20,6 @@ from .errors import (
     NoUsableOutcomes,
     SchemaViolation,
     TooManySkips,
-    UncalibratedReference,
     UnknownOperator,
 )
 from .harness import (
@@ -99,7 +98,6 @@ __all__ = [
     "SynthesisConfig",
     "TestOutcome",
     "TooManySkips",
-    "UncalibratedReference",
     "UnknownOperator",
     "ValidationResult",
     "aggregate",

@@ -15,7 +15,7 @@ import os
 import tempfile
 from pathlib import Path
 
-from .errors import CacheMiss, CorruptCache, UncalibratedReference
+from .errors import CacheMiss, CorruptCache
 from .operators import OperatorKind
 from .reference import ReferenceDistribution, ReferenceKey
 
@@ -28,9 +28,7 @@ _ENTRY_FIELDS = ("operator", "entries_per_vector", "observed_len_bucket", "pmf",
 
 
 def entry_payload(ref: ReferenceDistribution, with_checksum: bool = False) -> dict:
-    """Serializable cache-entry dict for a calibrated reference."""
-    if not ref.is_calibrated:
-        raise UncalibratedReference("only calibrated references are persisted")
+    """Serializable cache-entry dict for a reference."""
     payload = {
         "operator": ref.operator.value,
         "entries_per_vector": ref.entries_per_vector,

@@ -31,12 +31,10 @@ from .harness import (
 )
 from .ingest import DEFAULT_PAIR_CAP, compute_stats, load_csv, load_report
 from .operators import OPERATOR_ORDER, OperatorKind
-from .reference import ReferenceStore
+from .reference import DEFAULT_CALIBRATION_SAMPLES, DEFAULT_DRAWS, ReferenceStore
 from .scoring import DEFAULT_MIN_SAMPLES, AggregateOutcome, flag, score_groups
 
 DEFAULT_SEED = 1729
-DEFAULT_DRAWS = 100_000
-DEFAULT_CALIBRATION_SAMPLES = 1000
 CACHE_ENV_VAR = "DIGIT_FORENSICS_CACHE"
 
 EXIT_OK = 0

@@ -5,7 +5,6 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import EmptyHistogram
 
 # widest plausible drift of the scaled significand: four roundings of
 # ~2^-53 each, stretched to s <= 10, leaves errors below ~5e-15
@@ -80,21 +79,9 @@ class DigitHistogram:
         arr.setflags(write=False)
         self.counts = arr
 
-    @classmethod
-    def from_digits(cls, digits) -> "DigitHistogram":
-        arr = np.asarray(digits, dtype=np.int64)
-        if arr.size and (arr.min() < 1 or arr.max() > 9):
-            raise ValueError("digits must lie in 1..9")
-        return cls(np.bincount(arr, minlength=10)[1:10])
-
     @property
     def total(self) -> int:
         return int(self.counts.sum())
-
-    def frequencies(self) -> np.ndarray:
-        if self.total == 0:
-            raise EmptyHistogram("histogram has no observations")
-        return self.counts / self.total
 
     def __eq__(self, other):
         if not isinstance(other, DigitHistogram):

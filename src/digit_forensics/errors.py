@@ -17,10 +17,6 @@ class TooManySkips(DigitForensicsError, RuntimeError):
     """Reference generation produced digit-less outputs for too many draws."""
 
 
-class UncalibratedReference(DigitForensicsError, ValueError):
-    """The reference distribution has no calibration floor yet."""
-
-
 class NoUsableOutcomes(DigitForensicsError, ValueError):
     """Every statistic group fell below the minimum evidence threshold."""
 

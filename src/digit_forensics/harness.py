@@ -11,7 +11,7 @@ import numpy as np
 from . import rng as rngmod
 from .errors import DegenerateInput, NoUsableOutcomes
 from .ingest import ComputedStats, DatasetMatrix, ReportedStats, compute_stats
-from .reference import ReferenceStore
+from .reference import DECADE_OFFSETS, DECADE_SPAN, ReferenceStore
 from .scoring import DEFAULT_MIN_SAMPLES, flag, score_groups
 
 logger = logging.getLogger(__name__)
@@ -258,27 +258,24 @@ def scan_corpus(reports: Sequence[ReportedStats], *, store: ReferenceStore,
 
 
 def synthetic_corpus(count: int, seed: int, *, rows: tuple[int, int] = (20, 200),
-                     features: tuple[int, int] = (5, 20), decade_span: int = 3,
-                     center_offsets: Sequence[int] = range(-3, 4)) -> list[DatasetMatrix]:
+                     features: tuple[int, int] = (5, 20)) -> list[DatasetMatrix]:
     """Seeded corpus of conforming datasets.
 
-    Every feature is log-uniform over ``decade_span`` decades with its
-    own whole-decade scale offset, so each column's leading digits obey
-    the base law and the computed statistics follow the operator
-    references by construction.
+    Every feature follows the references' conforming-vector model: it is
+    log-uniform over DECADE_SPAN decades with its own whole-decade offset
+    from DECADE_OFFSETS, so each column's leading digits obey the base law
+    and the computed statistics follow the operator references by
+    construction.
     """
     if count < 0:
         raise ValueError("count must be non-negative")
-    offsets = np.asarray(list(center_offsets), dtype=np.int64)
-    if offsets.size == 0:
-        raise ValueError("need at least one center offset")
     datasets = []
     for i in range(count):
         gen = rngmod.substream(seed, rngmod.STREAM_CORPUS, i)
         n_rows = int(gen.integers(rows[0], rows[1] + 1))
         n_features = int(gen.integers(features[0], features[1] + 1))
-        c = offsets[gen.integers(0, offsets.size, size=n_features)].astype(float)
-        exponents = c[None, :] + gen.uniform(0.0, float(decade_span),
+        c = DECADE_OFFSETS[gen.integers(0, DECADE_OFFSETS.size, size=n_features)].astype(float)
+        exponents = c[None, :] + gen.uniform(0.0, float(DECADE_SPAN),
                                              size=(n_rows, n_features))
         data = 10.0 ** exponents
         columns = [(f"f{j + 1}", np.ascontiguousarray(data[:, j]))

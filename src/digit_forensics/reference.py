@@ -9,27 +9,42 @@ conforming samples) before they can score anything.
 """
 from __future__ import annotations
 
-import dataclasses
+import logging
 import math
 from dataclasses import dataclass
-from datetime import datetime, timezone
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 import numpy as np
 
 from . import rng as rngmod
 from .digits import check_pmf, extract_digits
-from .errors import CacheMiss, TooManySkips, UncalibratedReference
+from .errors import CacheMiss, TooManySkips
 from .operators import OperatorKind, operator_index, row_means, row_moments
 from .scoring import ks_distances, ks_tail
 
+logger = logging.getLogger(__name__)
+
 SIZE_BUCKETS = (1, 2, 5, 10, 20, 50, 100, 200, 500, 1000)
+
+DEFAULT_DRAWS = 100_000
+DEFAULT_CALIBRATION_SAMPLES = 1000
+
+# The conforming-vector model: every entry is 10**(c + U[0, DECADE_SPAN])
+# with c a whole-decade offset drawn uniformly from DECADE_OFFSETS. An
+# integer span makes the fractional part of the exponent uniform, which is
+# exactly the base digit law for every entry; whole-decade offsets vary
+# the scale between vectors without touching any digit.
+DECADE_SPAN = 3
+DECADE_OFFSETS = np.arange(-3, 4)
+DECADE_OFFSETS.setflags(write=False)
 
 # Fraction of draws allowed to produce no digit before generation aborts.
 MAX_SKIP_FRACTION = 0.10
 
 # Draws are produced in fixed-size blocks (cells = draws x entries); the
 # block layout is part of the seeded stream, so it must stay constant.
+# Calibration draws its null histograms in blocks of this many cells too,
+# which bounds its memory; there the split leaves the stream unchanged.
 _CHUNK_CELLS = 2_000_000
 
 
@@ -55,105 +70,63 @@ class ReferenceKey(NamedTuple):
 
 @dataclass(frozen=True)
 class SynthesisConfig:
-    """Parameters of the synthetic conforming-vector model.
-
-    Entries are 10**(c + U[0, decade_span]) with c a per-vector
-    whole-decade offset drawn from the integers inside ``center_range``.
-    An integer span makes the fractional part of the exponent uniform,
-    which is exactly the base digit law for every entry; whole-decade
-    offsets vary the scale between vectors without touching any digit.
-    """
+    """How many conforming vectors of which size, under which seed."""
 
     entries_per_vector: int
     seed: int
-    decade_span: int = 3
-    center_range: tuple[float, float] = (-3.0, 3.0)
-    mc_draws: int = 100_000
+    mc_draws: int = DEFAULT_DRAWS
 
     def __post_init__(self):
         if self.entries_per_vector < 1:
             raise ValueError("entries_per_vector must be >= 1")
-        if not isinstance(self.decade_span, int) or self.decade_span < 1:
-            raise ValueError("decade_span must be a positive integer")
-        lo, hi = self.center_range
-        if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
-            raise ValueError(f"invalid center_range {self.center_range!r}")
         if self.mc_draws < 1000:
             raise ValueError("mc_draws must be >= 1000")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
 
 
-@dataclass(frozen=True, eq=False)
-class ReferenceDistribution:
-    """Digit law of one operator's outputs, with calibration metadata.
+class GeneratedLaw(NamedTuple):
+    """Monte-Carlo digit law of one operator, before calibration."""
 
-    ``calibration_floor`` is None until calibrate_floor has run;
-    ``observed_len`` records the sample size the floor was calibrated
-    for. ``created_at`` and ``skipped_draws`` are in-memory audit fields
-    and are excluded from persistence and equality.
+    operator: OperatorKind
+    entries_per_vector: int
+    pmf: tuple[float, ...]
+    skipped_draws: int
+
+
+@dataclass(frozen=True)
+class ReferenceDistribution:
+    """Calibrated digit law of one operator's outputs.
+
+    ``calibration_floor`` is the worst raw score among ``calibration_samples``
+    conforming samples of ``observed_len`` digits; ``mc_draws`` and ``seed``
+    are the knobs the pmf was built under.
     """
 
     operator: OperatorKind
     entries_per_vector: int
     pmf: tuple[float, ...]
-    calibration_floor: Optional[float]
-    observed_len: Optional[int]
+    calibration_floor: float
+    observed_len: int
     mc_draws: int
-    calibration_samples: Optional[int]
+    calibration_samples: int
     seed: int
-    created_at: Optional[str] = None
-    skipped_draws: int = 0
 
     def __post_init__(self):
         check_pmf(self.pmf)
-        if self.calibration_floor is not None and not 0.0 <= self.calibration_floor < 1.0:
+        if not 0.0 <= self.calibration_floor < 1.0:
             raise ValueError(f"calibration floor {self.calibration_floor!r} outside [0, 1)")
 
     @property
-    def is_calibrated(self) -> bool:
-        return self.calibration_floor is not None
-
-    @property
     def key(self) -> ReferenceKey:
-        if self.observed_len is None:
-            raise UncalibratedReference(
-                f"reference {self.operator.value}/n={self.entries_per_vector} "
-                "has no observed-length bucket yet")
         return ReferenceKey(self.operator.value, self.entries_per_vector,
                             self.observed_len)
-
-    def __eq__(self, other):
-        if not isinstance(other, ReferenceDistribution):
-            return NotImplemented
-        return (
-            self.operator == other.operator
-            and self.entries_per_vector == other.entries_per_vector
-            and self.pmf == other.pmf
-            and self.calibration_floor == other.calibration_floor
-            and self.observed_len == other.observed_len
-            and self.mc_draws == other.mc_draws
-            and self.calibration_samples == other.calibration_samples
-            and self.seed == other.seed
-        )
-
-    def __hash__(self):
-        return hash((self.operator, self.entries_per_vector, self.pmf, self.seed))
-
-
-def _decade_offsets(center_range: tuple[float, float]) -> np.ndarray:
-    lo, hi = center_range
-    offsets = np.arange(math.ceil(lo), math.floor(hi) + 1, dtype=np.int64)
-    if offsets.size == 0:
-        offsets = np.asarray([round((lo + hi) / 2.0)], dtype=np.int64)
-    return offsets
 
 
 def _synth_block(cfg: SynthesisConfig, rng: np.random.Generator, count: int) -> np.ndarray:
     """``count`` synthetic vectors as a (count, entries) matrix."""
-    offsets = _decade_offsets(cfg.center_range)
-    c = offsets[rng.integers(0, offsets.size, size=count)].astype(float)
-    w = c[:, None] + rng.uniform(0.0, float(cfg.decade_span),
+    c = DECADE_OFFSETS[rng.integers(0, DECADE_OFFSETS.size, size=count)].astype(float)
+    w = c[:, None] + rng.uniform(0.0, float(DECADE_SPAN),
                                  size=(count, cfg.entries_per_vector))
     return 10.0 ** w
 
@@ -169,7 +142,7 @@ def _operator_outputs(op: OperatorKind, cfg: SynthesisConfig,
     return row_moments(x).slope(row_moments(_synth_block(cfg, rng, count)))
 
 
-def generate_reference(op: OperatorKind, cfg: SynthesisConfig) -> ReferenceDistribution:
+def generate_reference(op: OperatorKind, cfg: SynthesisConfig) -> GeneratedLaw:
     """Monte-Carlo leading-digit law of ``op`` over synthetic vectors.
 
     Outputs without a digit (zero, non-finite, degenerate) are skipped
@@ -195,41 +168,41 @@ def generate_reference(op: OperatorKind, cfg: SynthesisConfig) -> ReferenceDistr
             f"{op.value}/n={cfg.entries_per_vector}: {skipped} of {cfg.mc_draws} "
             "draws produced no digit")
     pmf = counts / counts.sum()
-    return ReferenceDistribution(
-        operator=op,
-        entries_per_vector=cfg.entries_per_vector,
-        pmf=tuple(float(p) for p in pmf),
-        calibration_floor=None,
-        observed_len=None,
-        mc_draws=cfg.mc_draws,
-        calibration_samples=None,
-        seed=cfg.seed,
-        created_at=datetime.now(timezone.utc).isoformat(timespec="seconds"),
-        skipped_draws=skipped,
-    )
+    return GeneratedLaw(op, cfg.entries_per_vector, tuple(float(p) for p in pmf), skipped)
 
 
-def calibrate_floor(ref: ReferenceDistribution, cfg: SynthesisConfig,
-                    observed_len: int, null_samples: int = 1000) -> ReferenceDistribution:
-    """Attach the normalisation floor for samples of ``observed_len`` digits.
+def calibrate_floor(law: GeneratedLaw, cfg: SynthesisConfig, observed_len: int,
+                    null_samples: int = DEFAULT_CALIBRATION_SAMPLES) -> ReferenceDistribution:
+    """Calibrate ``law`` for samples of ``observed_len`` digits.
 
-    Draws ``null_samples`` conforming observation sets from the reference
-    pmf and records the worst raw score (1 - p) among them as the floor.
-    The raw score rises with the KS distance, so that is 1 - p at the
-    largest distance drawn. Same seed, same floor, exactly.
+    Draws ``null_samples`` conforming observation sets from the law's pmf
+    and records the worst raw score (1 - p) among them as the floor. The
+    raw score rises with the KS distance, so that is 1 - p at the largest
+    distance drawn. The sets are drawn in blocks, so memory stays bounded
+    at any ``null_samples``. Same seed, same floor, exactly.
     """
     if observed_len < 1:
         raise ValueError("observed_len must be >= 1")
     if null_samples < 1:
         raise ValueError("null_samples must be >= 1")
-    gen = rngmod.substream(cfg.seed, rngmod.STREAM_CALIBRATE, operator_index(ref.operator),
-                           ref.entries_per_vector, observed_len)
-    pmf = np.asarray(ref.pmf)
-    null_counts = gen.multinomial(observed_len, pmf, size=null_samples)
-    worst = 1.0 - ks_tail(observed_len, pmf, float(ks_distances(null_counts, pmf).max()))
-    return dataclasses.replace(ref, calibration_floor=float(worst),
-                               observed_len=int(observed_len),
-                               calibration_samples=int(null_samples))
+    gen = rngmod.substream(cfg.seed, rngmod.STREAM_CALIBRATE, operator_index(law.operator),
+                           law.entries_per_vector, observed_len)
+    pmf = np.asarray(law.pmf)
+    rows = max(1, _CHUNK_CELLS // pmf.size)
+    widest = 0.0
+    for start in range(0, null_samples, rows):
+        null_counts = gen.multinomial(observed_len, pmf, size=min(rows, null_samples - start))
+        widest = max(widest, float(ks_distances(null_counts, pmf).max()))
+    return ReferenceDistribution(
+        operator=law.operator,
+        entries_per_vector=law.entries_per_vector,
+        pmf=law.pmf,
+        calibration_floor=float(1.0 - ks_tail(observed_len, pmf, widest)),
+        observed_len=int(observed_len),
+        mc_draws=cfg.mc_draws,
+        calibration_samples=int(null_samples),
+        seed=cfg.seed,
+    )
 
 
 class ReferenceStore:
@@ -238,17 +211,16 @@ class ReferenceStore:
     Keys are (operator, entries-per-vector bucket, observed-length
     bucket). Generation and calibration streams are derived from the key,
     so a reference is identical no matter which order keys get built in.
+    A cached entry built under another seed, draw count or calibration
+    sample count is still used, with a warning that names both.
     """
 
-    def __init__(self, *, seed: int, cache=None, mc_draws: int = 100_000,
-                 calibration_samples: int = 1000,
-                 decade_span: int = 3, center_range: tuple[float, float] = (-3.0, 3.0)):
+    def __init__(self, *, seed: int, cache=None, mc_draws: int = DEFAULT_DRAWS,
+                 calibration_samples: int = DEFAULT_CALIBRATION_SAMPLES):
         self.seed = seed
         self.cache = cache
         self.mc_draws = mc_draws
         self.calibration_samples = calibration_samples
-        self.decade_span = decade_span
-        self.center_range = center_range
         self._memo: dict[ReferenceKey, ReferenceDistribution] = {}
 
     def get(self, op: OperatorKind, entries_per_vector: int,
@@ -262,15 +234,23 @@ class ReferenceStore:
             try:
                 ref = self.cache.load(op, key.entries_per_vector,
                                       key.observed_len_bucket)
-                self._memo[key] = ref
-                return ref
             except CacheMiss:
                 pass
+            else:
+                built = (ref.seed, ref.mc_draws, ref.calibration_samples)
+                wanted = (self.seed, self.mc_draws, self.calibration_samples)
+                if built != wanted:
+                    logger.warning(
+                        "cached reference %s/n=%d/obs=%d was built with seed=%d "
+                        "draws=%d calibration_samples=%d; this run asks for seed=%d "
+                        "draws=%d calibration_samples=%d; using the cached entry",
+                        *key, *built, *wanted)
+                self._memo[key] = ref
+                return ref
         cfg = SynthesisConfig(entries_per_vector=key.entries_per_vector,
-                              seed=self.seed, decade_span=self.decade_span,
-                              center_range=self.center_range, mc_draws=self.mc_draws)
-        ref = generate_reference(op, cfg)
-        ref = calibrate_floor(ref, cfg, observed_len=key.observed_len_bucket,
+                              seed=self.seed, mc_draws=self.mc_draws)
+        ref = calibrate_floor(generate_reference(op, cfg), cfg,
+                              observed_len=key.observed_len_bucket,
                               null_samples=self.calibration_samples)
         if self.cache is not None:
             self.cache.store(ref)

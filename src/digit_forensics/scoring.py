@@ -15,7 +15,7 @@ from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 import numpy as np
 
 from .digits import DigitHistogram, check_pmf, histogram
-from .errors import EmptyHistogram, NoUsableOutcomes, UncalibratedReference
+from .errors import EmptyHistogram, NoUsableOutcomes
 from .operators import OPERATOR_ORDER, OperatorKind
 
 if TYPE_CHECKING:
@@ -211,9 +211,6 @@ def _score_histogram(hist: DigitHistogram, skipped: int, op: OperatorKind,
     if hist.total < min_samples:
         return InsufficientData(op, usable=hist.total, required=min_samples,
                                 skipped=skipped)
-    if not ref.is_calibrated:
-        raise UncalibratedReference(
-            f"reference {ref.operator.value}/n={ref.entries_per_vector} has no floor")
     result = ks_p_value(hist, ref.pmf)
     raw = 1.0 - result.p_value
     return TestOutcome(

@@ -9,7 +9,6 @@ from digit_forensics import (
     OperatorKind,
     ReferenceCache,
     SynthesisConfig,
-    UncalibratedReference,
     calibrate_floor,
     generate_reference,
 )
@@ -31,12 +30,6 @@ def second_ref():
 
 
 class TestEntryPayload:
-    def test_rejects_uncalibrated(self):
-        cfg = SynthesisConfig(entries_per_vector=1, seed=11, mc_draws=1_000)
-        raw = generate_reference(OperatorKind.MEAN, cfg)
-        with pytest.raises(UncalibratedReference):
-            entry_payload(raw)
-
     def test_checksum_field_optional_and_consistent(self, calibrated_ref):
         bare = entry_payload(calibrated_ref)
         stamped = entry_payload(calibrated_ref, with_checksum=True)

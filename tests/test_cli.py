@@ -89,6 +89,13 @@ class TestGenRef:
                         "--calibration-samples", "20")
         assert out_json(again)["mc_draws"] == 2000
         assert again.stdout == first.stdout
+        # ...and stderr says, once, which knobs it was built under
+        assert first.stderr == b""
+        [warning] = again.stderr.decode().splitlines()
+        assert warning.startswith("WARNING digit_forensics.reference: ")
+        assert "mean/n=1/obs=20" in warning
+        assert "seed=5 draws=2000 calibration_samples=20" in warning
+        assert "seed=5 draws=4000 calibration_samples=20" in warning
 
     def test_env_var_overrides_cache_flag(self, tmp_path):
         via_env = tmp_path / "env.json"

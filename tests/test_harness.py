@@ -303,5 +303,3 @@ class TestSyntheticCorpus:
         assert synthetic_corpus(0, seed=1) == []
         with pytest.raises(ValueError):
             synthetic_corpus(-1, seed=1)
-        with pytest.raises(ValueError):
-            synthetic_corpus(1, seed=1, center_offsets=())
