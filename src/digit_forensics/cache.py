@@ -27,8 +27,8 @@ _ENTRY_FIELDS = ("operator", "entries_per_vector", "observed_len_bucket", "pmf",
                  "calibration_floor", "mc_draws", "calibration_samples", "seed")
 
 
-def entry_payload(ref: ReferenceDistribution, with_checksum: bool = False) -> dict:
-    """Serializable cache-entry dict for a reference."""
+def entry_payload(ref: ReferenceDistribution) -> dict:
+    """Serializable cache-entry dict for a reference, checksum included."""
     payload = {
         "operator": ref.operator.value,
         "entries_per_vector": ref.entries_per_vector,
@@ -39,8 +39,7 @@ def entry_payload(ref: ReferenceDistribution, with_checksum: bool = False) -> di
         "calibration_samples": ref.calibration_samples,
         "seed": ref.seed,
     }
-    if with_checksum:
-        payload["checksum"] = checksum(payload)
+    payload["checksum"] = checksum(payload)
     return payload
 
 
@@ -71,9 +70,8 @@ class ReferenceCache:
         return _from_entry(entry)
 
     def store(self, ref: ReferenceDistribution) -> None:
-        payload = entry_payload(ref, with_checksum=True)
         entries = dict(self._read())
-        entries[ReferenceKey(*_key_of(payload))] = payload
+        entries[ref.key] = entry_payload(ref)
         self._write(entries)
 
     def _read(self) -> dict[ReferenceKey, dict]:
@@ -85,7 +83,8 @@ class ReferenceCache:
             return self._entries
         try:
             doc = json.loads(raw.decode("utf-8"))
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        except (ValueError, RecursionError) as exc:
+            # JSONDecodeError, UnicodeDecodeError, over-long integers, deep nesting
             raise CorruptCache(f"{self.path}: not valid JSON ({exc})") from exc
         if not isinstance(doc, dict) or "version" not in doc:
             raise CorruptCache(f"{self.path}: missing version")
@@ -103,7 +102,7 @@ class ReferenceCache:
                 raise CorruptCache(f"{self.path}: entry {i} is missing fields")
             if entry.get("checksum") != checksum(entry):
                 raise CorruptCache(f"{self.path}: entry {i} failed its checksum")
-            entries[ReferenceKey(*_key_of(entry))] = entry
+            entries[_key_of(entry)] = entry
         self._raw, self._entries = raw, entries
         return entries
 
@@ -125,8 +124,9 @@ class ReferenceCache:
             raise
 
 
-def _key_of(entry: dict) -> tuple[str, int, int]:
-    return (entry["operator"], entry["entries_per_vector"], entry["observed_len_bucket"])
+def _key_of(entry: dict) -> ReferenceKey:
+    return ReferenceKey(entry["operator"], entry["entries_per_vector"],
+                        entry["observed_len_bucket"])
 
 
 def _from_entry(entry: dict) -> ReferenceDistribution:

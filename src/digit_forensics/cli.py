@@ -32,7 +32,7 @@ from .harness import (
 from .ingest import DEFAULT_PAIR_CAP, compute_stats, load_csv, load_report
 from .operators import OPERATOR_ORDER, OperatorKind
 from .reference import DEFAULT_CALIBRATION_SAMPLES, DEFAULT_DRAWS, ReferenceStore
-from .scoring import DEFAULT_MIN_SAMPLES, AggregateOutcome, flag, score_groups
+from .scoring import DEFAULT_MIN_SAMPLES, flag, score_groups
 
 DEFAULT_SEED = 1729
 CACHE_ENV_VAR = "DIGIT_FORENSICS_CACHE"
@@ -58,16 +58,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _dump_json(payload: dict) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
-
-
-def _write_output(args: argparse.Namespace, payload: dict, text: str) -> None:
-    rendered = _dump_json(payload)
+def _write_output(args: argparse.Namespace, payload: dict, render) -> None:
+    """Print JSON, or ``render(payload)`` under --format text; --out gets the JSON."""
+    rendered = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     out = getattr(args, "out", None)
     if out:
         Path(out).write_text(rendered, encoding="utf-8")
-    sys.stdout.write(rendered if args.format == "json" else text)
+    sys.stdout.write(rendered if args.format == "json" else render(payload))
 
 
 def _store(args: argparse.Namespace) -> ReferenceStore:
@@ -77,33 +74,30 @@ def _store(args: argparse.Namespace) -> ReferenceStore:
                           calibration_samples=args.calibration_samples)
 
 
-def _score_groups(args: argparse.Namespace, groups, entries_per_vector: int) -> AggregateOutcome:
-    return score_groups(groups, entries_per_vector=entries_per_vector,
-                        store=_store(args), min_samples=args.min_samples)
-
-
-def _key_dict(key) -> dict:
-    return {"operator": key.operator, "entries_per_vector": key.entries_per_vector,
-            "observed_len_bucket": key.observed_len_bucket}
-
-
-def _aggregate_payload(outcome: AggregateOutcome, flag_level: float | None) -> dict:
+def _score_aggregate(args: argparse.Namespace, groups, entries_per_vector: int,
+                     source: str, **extra) -> int:
+    """Score one set of groups, write the result, and return the exit code."""
+    outcome = score_groups(groups, entries_per_vector=entries_per_vector,
+                           store=_store(args), min_samples=args.min_samples)
     payload = {
+        "source": source,
         "overall": outcome.overall,
         "per_operator": [
             {"operator": t.operator.value, "raw_score": t.raw_score,
              "normalized_score": t.normalized_score, "sample_count": t.sample_count,
-             "skipped": t.skipped, "reference_key": _key_dict(t.reference_key)}
+             "skipped": t.skipped, "reference_key": t.reference_key._asdict()}
             for t in outcome.per_operator],
         "insufficient": [
             {"operator": m.operator.value, "usable": m.usable,
              "required": m.required, "skipped": m.skipped}
             for m in outcome.insufficient],
+        **extra,
     }
-    if flag_level is not None:
-        payload["flag_level"] = flag_level
-        payload["flagged"] = flag(outcome.overall, flag_level)
-    return payload
+    if args.flag_level is not None:
+        payload["flag_level"] = args.flag_level
+        payload["flagged"] = flag(outcome.overall, args.flag_level)
+    _write_output(args, payload, _render_aggregate)
+    return EXIT_FLAGGED if payload.get("flagged") else EXIT_OK
 
 
 def _render_aggregate(payload: dict) -> str:
@@ -199,8 +193,7 @@ def _render_scan(payload: dict) -> str:
 def _cmd_gen_ref(args: argparse.Namespace) -> int:
     op = OperatorKind.from_name(args.operator)
     ref = _store(args).get(op, entries_per_vector=args.n, observed_len=args.obs_len)
-    payload = entry_payload(ref, with_checksum=True)
-    _write_output(args, payload, _render_reference(payload))
+    _write_output(args, entry_payload(ref), _render_reference)
     return EXIT_OK
 
 
@@ -209,27 +202,14 @@ def _cmd_score_dataset(args: argparse.Namespace) -> int:
                       decimal_separator=args.decimal_separator)
     stats = compute_stats(matrix, pair_cap=args.pair_cap,
                           pair_seed=rngmod.fold_seed(args.seed, rngmod.STREAM_PAIRS))
-    outcome = _score_groups(args, stats.groups(), entries_per_vector=matrix.n_rows)
-    payload = _aggregate_payload(outcome, args.flag_level)
-    payload["source"] = matrix.name
-    payload["n_rows"] = matrix.n_rows
-    payload["n_features"] = matrix.n_features
-    payload["dropped_columns"] = list(matrix.dropped)
-    _write_output(args, payload, _render_aggregate(payload))
-    if args.flag_level is not None and payload["flagged"]:
-        return EXIT_FLAGGED
-    return EXIT_OK
+    return _score_aggregate(args, stats.groups(), matrix.n_rows, matrix.name,
+                            n_rows=matrix.n_rows, n_features=matrix.n_features,
+                            dropped_columns=list(matrix.dropped))
 
 
 def _cmd_score_stats(args: argparse.Namespace) -> int:
     report = load_report(args.report)
-    outcome = _score_groups(args, report.groups, entries_per_vector=args.n)
-    payload = _aggregate_payload(outcome, args.flag_level)
-    payload["source"] = report.source_id
-    _write_output(args, payload, _render_aggregate(payload))
-    if args.flag_level is not None and payload["flagged"]:
-        return EXIT_FLAGGED
-    return EXIT_OK
+    return _score_aggregate(args, report.groups, args.n, report.source_id)
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
@@ -245,8 +225,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     result = run_validation(datasets, spec, store=_store(args),
                             decision_threshold=args.threshold, seed=args.seed,
                             min_samples=args.min_samples, pair_cap=args.pair_cap)
-    payload = _validation_payload(result)
-    _write_output(args, payload, _render_validation(payload))
+    _write_output(args, _validation_payload(result), _render_validation)
     return EXIT_OK
 
 
@@ -257,8 +236,7 @@ def _cmd_scan_corpus(args: argparse.Namespace) -> int:
     reports = [load_report(path) for path in paths]
     result = scan_corpus(reports, store=_store(args), levels=args.levels,
                          entries_per_vector=args.n, min_samples=args.min_samples)
-    payload = _scan_payload(result, args.levels)
-    _write_output(args, payload, _render_scan(payload))
+    _write_output(args, _scan_payload(result, args.levels), _render_scan)
     return EXIT_OK
 
 
@@ -284,6 +262,18 @@ def build_parser() -> argparse.ArgumentParser:
                          default=DEFAULT_MIN_SAMPLES, metavar="N",
                          help="fewest usable digits a group needs (default %(default)s)")
 
+    flagging = argparse.ArgumentParser(add_help=False)
+    flagging.add_argument("--flag-level", type=_probability, metavar="LEVEL",
+                          help="exit 4 when the overall score reaches LEVEL")
+    pairs = argparse.ArgumentParser(add_help=False)
+    pairs.add_argument("--pair-cap", type=_positive_int, default=DEFAULT_PAIR_CAP,
+                       help="most column pairs used for slopes (default %(default)s)")
+    reports = argparse.ArgumentParser(add_help=False)
+    reports.add_argument("--n", type=_positive_int, default=10,
+                         help="assumed sample size behind each statistic (default %(default)s)")
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", metavar="PATH", help="also write the JSON result to PATH")
+
     parser = argparse.ArgumentParser(
         prog="digit-forensics",
         description="Screen reported summary statistics for leading-digit "
@@ -300,29 +290,21 @@ def build_parser() -> argparse.ArgumentParser:
                    help="expected count of observed statistics (default %(default)s)")
     p.set_defaults(func=_cmd_gen_ref)
 
-    p = sub.add_parser("score-dataset", parents=[common, scoring],
+    p = sub.add_parser("score-dataset", parents=[common, scoring, pairs, flagging],
                        help="score the summary statistics of a numeric CSV table")
     p.add_argument("csv", help="CSV file with one column per variable")
     p.add_argument("--delimiter", default=",")
     p.add_argument("--no-header", action="store_true",
                    help="treat the first row as data")
     p.add_argument("--decimal-separator", default=".", metavar="CHAR")
-    p.add_argument("--pair-cap", type=_positive_int, default=DEFAULT_PAIR_CAP,
-                   help="most column pairs used for slopes (default %(default)s)")
-    p.add_argument("--flag-level", type=_probability, metavar="LEVEL",
-                   help="exit 4 when the overall score reaches LEVEL")
     p.set_defaults(func=_cmd_score_dataset)
 
-    p = sub.add_parser("score-stats", parents=[common, scoring],
+    p = sub.add_parser("score-stats", parents=[common, scoring, reports, flagging],
                        help="score a JSON report of already-computed statistics")
     p.add_argument("report", help="report JSON file")
-    p.add_argument("--n", type=_positive_int, default=10,
-                   help="assumed sample size behind each statistic (default %(default)s)")
-    p.add_argument("--flag-level", type=_probability, metavar="LEVEL",
-                   help="exit 4 when the overall score reaches LEVEL")
     p.set_defaults(func=_cmd_score_stats)
 
-    p = sub.add_parser("validate", parents=[common, scoring],
+    p = sub.add_parser("validate", parents=[common, scoring, pairs, out],
                        help="measure detection accuracy on a half-manipulated corpus")
     source = p.add_mutually_exclusive_group(required=True)
     source.add_argument("--datasets-dir", metavar="DIR",
@@ -335,22 +317,14 @@ def build_parser() -> argparse.ArgumentParser:
                    help="largest relative perturbation (default %(default)s)")
     p.add_argument("--threshold", type=_probability, default=DEFAULT_THRESHOLD,
                    help="decision threshold on the overall score (default %(default)s)")
-    p.add_argument("--pair-cap", type=_positive_int, default=DEFAULT_PAIR_CAP,
-                   help="most column pairs used for slopes (default %(default)s)")
-    p.add_argument("--out", metavar="PATH",
-                   help="also write the JSON result to PATH")
     p.set_defaults(func=_cmd_validate)
 
-    p = sub.add_parser("scan-corpus", parents=[common, scoring],
+    p = sub.add_parser("scan-corpus", parents=[common, scoring, reports, out],
                        help="score a directory of reports and tabulate flags")
     p.add_argument("reports", help="directory of report JSON files")
     p.add_argument("--levels", type=_probability, nargs="+",
                    default=list(DEFAULT_LEVELS), metavar="LEVEL",
                    help="ascending confidence levels (default %(default)s)")
-    p.add_argument("--n", type=_positive_int, default=10,
-                   help="assumed sample size behind each statistic (default %(default)s)")
-    p.add_argument("--out", metavar="PATH",
-                   help="also write the JSON result to PATH")
     p.set_defaults(func=_cmd_scan_corpus)
     return parser
 

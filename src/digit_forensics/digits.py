@@ -9,6 +9,7 @@ import numpy as np
 # widest plausible drift of the scaled significand: four roundings of
 # ~2^-53 each, stretched to s <= 10, leaves errors below ~5e-15
 _BOUNDARY_TOL = 1e-12
+_SUM_TOL = 1e-9  # how far a pmf's cells may sum from 1
 
 DIGITS = np.arange(1, 10)
 
@@ -106,14 +107,14 @@ def histogram(values) -> tuple[DigitHistogram, int]:
     return DigitHistogram(np.bincount(digits, minlength=10)[1:10]), skipped
 
 
-def check_pmf(probs, atol: float = 1e-9) -> np.ndarray:
+def check_pmf(probs) -> np.ndarray:
     """Validate a 9-cell probability vector and return it as an array."""
     arr = np.asarray(probs, dtype=float)
     if arr.shape != (9,):
         raise ValueError(f"expected a 9-cell pmf, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)) or np.any(arr < 0.0):
         raise ValueError("pmf cells must be finite and non-negative")
-    if abs(float(arr.sum()) - 1.0) > atol:
+    if abs(float(arr.sum()) - 1.0) > _SUM_TOL:
         raise ValueError(f"pmf sums to {arr.sum()!r}, not 1")
     return arr
 

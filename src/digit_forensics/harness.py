@@ -10,7 +10,8 @@ import numpy as np
 
 from . import rng as rngmod
 from .errors import DegenerateInput, NoUsableOutcomes
-from .ingest import ComputedStats, DatasetMatrix, ReportedStats, compute_stats
+from .ingest import (DEFAULT_PAIR_CAP, ComputedStats, DatasetMatrix, ReportedStats,
+                     compute_stats)
 from .reference import DECADE_OFFSETS, DECADE_SPAN, ReferenceStore
 from .scoring import DEFAULT_MIN_SAMPLES, flag, score_groups
 
@@ -152,7 +153,7 @@ def inject_noise(stats: ComputedStats, spec: NoiseSpec,
 def run_validation(datasets: Sequence[DatasetMatrix], spec: NoiseSpec, *,
                    store: ReferenceStore, decision_threshold: float = DEFAULT_THRESHOLD,
                    seed: int = 0, min_samples: int = DEFAULT_MIN_SAMPLES,
-                   pair_cap: int = 200) -> ValidationResult:
+                   pair_cap: int = DEFAULT_PAIR_CAP) -> ValidationResult:
     """Score a half-clean, half-manipulated split of the corpus.
 
     A seeded shuffle assigns half the datasets to the manipulated class;

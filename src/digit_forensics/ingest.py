@@ -48,8 +48,6 @@ class ComputedStats:
     means: np.ndarray
     stds: np.ndarray
     slopes: np.ndarray
-    n_rows: int
-    n_features: int
     slope_pairs: tuple[tuple[int, int], ...] = ()
     degenerate_pairs: tuple[tuple[int, int], ...] = ()
 
@@ -71,7 +69,7 @@ class ReportedStats:
 
 
 def load_csv(path, *, delimiter: str = ",", header: bool = True,
-             decimal_separator: str = ".", name: str | None = None) -> DatasetMatrix:
+             decimal_separator: str = ".") -> DatasetMatrix:
     """Load the numeric columns of a CSV file.
 
     Non-numeric columns are dropped (and logged); blank or non-finite
@@ -79,12 +77,13 @@ def load_csv(path, *, delimiter: str = ",", header: bool = True,
     Needs at least one numeric column and two data rows.
     """
     path = Path(path)
-    if not isinstance(delimiter, str) or len(delimiter) != 1:
-        raise MalformedCsv(f"delimiter must be a single character, got {delimiter!r}")
+    for option, char in (("delimiter", delimiter), ("decimal separator", decimal_separator)):
+        if not isinstance(char, str) or len(char) != 1:
+            raise MalformedCsv(f"{option} must be a single character, got {char!r}")
     try:
         with path.open(newline="", encoding="utf-8") as fh:
             rows = list(csv.reader(fh, delimiter=delimiter))
-    except csv.Error as exc:
+    except (csv.Error, UnicodeDecodeError) as exc:
         raise MalformedCsv(f"{path}: {exc}") from exc
     if not rows:
         raise MalformedCsv(f"{path}: empty file")
@@ -115,7 +114,7 @@ def load_csv(path, *, delimiter: str = ",", header: bool = True,
     if not columns or len(body) < 2:
         raise NoNumericColumns(
             f"{path}: no numeric column with at least 2 rows after cleaning")
-    return DatasetMatrix(name=name or path.stem, columns=columns,
+    return DatasetMatrix(name=path.stem, columns=columns,
                          n_rows=len(body), dropped=dropped)
 
 
@@ -185,7 +184,6 @@ def compute_stats(dataset: DatasetMatrix, pair_cap: int = DEFAULT_PAIR_CAP,
         logger.info("%s: %d degenerate slope pairs skipped", dataset.name,
                     len(degenerate))
     return ComputedStats(means=features.mean, stds=features.std(), slopes=slopes[~flat],
-                         n_rows=dataset.n_rows, n_features=f,
                          slope_pairs=tuple(zip(regressors[~flat].tolist(),
                                                responses[~flat].tolist())),
                          degenerate_pairs=degenerate)
@@ -201,8 +199,8 @@ def load_report(path) -> ReportedStats:
     path = Path(path)
     try:
         doc = json.loads(path.read_text(encoding="utf-8"))
-    except ValueError as exc:
-        # JSONDecodeError, UnicodeDecodeError, and integers too long to parse
+    except (ValueError, RecursionError) as exc:
+        # JSONDecodeError, UnicodeDecodeError, over-long integers, deep nesting
         raise SchemaViolation(f"{path}: not valid JSON ({exc})") from exc
     if not isinstance(doc, dict):
         raise SchemaViolation(f"{path}: top-level value must be an object")

@@ -31,15 +31,14 @@ def second_ref():
 
 class TestEntryPayload:
     def test_checksum_field_optional_and_consistent(self, calibrated_ref):
-        bare = entry_payload(calibrated_ref)
-        stamped = entry_payload(calibrated_ref, with_checksum=True)
-        assert "checksum" not in bare
+        stamped = entry_payload(calibrated_ref)
+        bare = {k: v for k, v in stamped.items() if k != "checksum"}
         assert stamped["checksum"] == checksum(bare)
         # the checksum field itself is excluded from the digest
         assert checksum(stamped) == stamped["checksum"]
 
     def test_checksum_detects_any_field_change(self, calibrated_ref):
-        payload = entry_payload(calibrated_ref, with_checksum=True)
+        payload = entry_payload(calibrated_ref)
         tampered = dict(payload)
         tampered["calibration_floor"] = 0.123456
         assert checksum(tampered) != payload["checksum"]

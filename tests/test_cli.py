@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -159,6 +160,25 @@ class TestScoreStats:
         assert "/groups/mean/1" in proc.stderr.decode()
         assert b"Traceback" not in proc.stderr
 
+    def test_deeply_nested_report_exits_2(self, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text('{"source_id": "s", "groups": {"mean": ' + "[" * 100_000
+                        + "]" * 100_000 + "}}", encoding="utf-8")
+        proc = run_cli("score-stats", str(path), *FAST)
+        assert proc.returncode == 2
+        assert f"{path}: not valid JSON" in proc.stderr.decode()
+        assert b"Traceback" not in proc.stderr
+
+    def test_deeply_nested_cache_exits_2(self, report_dir, tmp_path):
+        cache = tmp_path / "deep.json"
+        cache.write_text('{"version": 2, "entries": ' + "[" * 100_000
+                         + "]" * 100_000 + "}", encoding="utf-8")
+        proc = run_cli("score-stats", str(report_dir / "a.json"),
+                       "--cache", str(cache), *FAST)
+        assert proc.returncode == 2
+        assert f"{cache}: not valid JSON" in proc.stderr.decode()
+        assert b"Traceback" not in proc.stderr
+
     def test_monte_carlo_cache_version_refused(self, report_dir, tmp_path):
         cache = tmp_path / "old.json"
         cache.write_text(json.dumps({"version": 1, "entries": []}), encoding="utf-8")
@@ -214,11 +234,25 @@ class TestScoreDataset:
         assert proc.returncode == 2
         assert proc.stderr.decode().startswith("error:")
 
-    @pytest.mark.parametrize("delimiter", ["", ";;"])
-    def test_bad_delimiter_exits_2_naming_the_field(self, csv_path, delimiter):
-        proc = run_cli("score-dataset", str(csv_path), f"--delimiter={delimiter}", *FAST)
+    @pytest.mark.parametrize("option,value,field", [
+        ("--delimiter", "", "delimiter"),
+        ("--delimiter", ";;", "delimiter"),
+        ("--decimal-separator", "", "decimal separator"),
+        ("--decimal-separator", ",,", "decimal separator"),
+    ], ids=["", ";;", "decimal-separator-empty", "decimal-separator-,,"])
+    def test_bad_delimiter_exits_2_naming_the_field(self, csv_path, option, value,
+                                                    field):
+        proc = run_cli("score-dataset", str(csv_path), f"{option}={value}", *FAST)
         assert proc.returncode == 2
-        assert "delimiter" in proc.stderr.decode()
+        assert f"{field} must be a single character" in proc.stderr.decode()
+        assert b"Traceback" not in proc.stderr
+
+    def test_undecodable_csv_exits_2_naming_the_file(self, tmp_path):
+        path = tmp_path / "latin.csv"
+        path.write_bytes(b"a,b\n1.5,2\n3.\xff,4\n")
+        proc = run_cli("score-dataset", str(path), *FAST)
+        assert proc.returncode == 2
+        assert proc.stderr.decode().startswith(f"error: {path}: ")
         assert b"Traceback" not in proc.stderr
 
 
@@ -307,3 +341,55 @@ class TestParser:
         proc = run_cli(command, "--help")
         assert proc.returncode == 0
         assert b"--seed" in proc.stdout
+
+
+PINNED_ROWS = [
+    "x1,x2,x3,x4,x5,x6",
+    "1.27,38.4,0.0562,912,0.73,15.2",
+    "2.81,17.9,0.0131,4470,5.9,2.48",
+    "0.945,264,0.771,1580,1.36,0.614",
+    "13.6,5.02,0.0248,731,22.4,3.07",
+    "3.3,91.7,0.318,2260,2.05,1.92",
+    "1.08,12.5,0.0093,6040,0.418,7.55",
+    "7.14,44.1,0.157,389,3.86,11.3",
+    "1.92,203,0.0417,1125,1.19,0.287",
+    "26.5,8.66,0.0689,3310,64.7,4.61",
+    "4.47,29.3,0.214,857,8.02,1.44",
+    "1.55,61.8,0.0352,1940,1.71,0.935",
+    "9.81,3.74,0.482,5120,12.9,2.63",
+]
+
+# sha256 over label, exit code and stdout of each run in test_outputs_are_pinned,
+# recorded with numpy 2.4.6. It is the same with numpy's AVX-512 paths switched
+# off (NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR"), because no run
+# here draws a synthetic corpus.
+PINNED_OUTPUT_DIGESTS = {
+    "8fc37e8a8bf485a5c3ef71f1dda34d3d21d143191ea8bcea9690c30fbae089f6",
+}
+
+
+def test_outputs_are_pinned(report_dir, tmp_path):
+    """stdout and exit codes of a fixed set of runs stay byte-identical.
+
+    A refactor that keeps results must keep this digest.
+    """
+    table = tmp_path / "pinned.csv"
+    table.write_text("\n".join(PINNED_ROWS) + "\n", encoding="utf-8")
+    knobs = ["--seed", "1729", "--draws", "2000", "--calibration-samples", "50"]
+    runs = [(f"gen-ref {op}", ["gen-ref", "--operator", op, "--n", "5"])
+            for op in ("mean", "std", "ols_slope")]
+    runs += [
+        ("score-dataset json", ["score-dataset", str(table)]),
+        ("score-dataset text", ["score-dataset", str(table), "--format", "text",
+                                "--flag-level", "0.1"]),
+        ("score-stats", ["score-stats", str(report_dir / "b.json"), "--n", "10",
+                         "--flag-level", "0.9"]),
+        ("scan-corpus", ["scan-corpus", str(report_dir), "--n", "10"]),
+    ]
+    digest = hashlib.sha256()
+    for label, args in runs:
+        proc = run_cli(*args, *knobs)
+        assert b"Traceback" not in proc.stderr, label
+        digest.update(f"{label}\0{proc.returncode}\0".encode())
+        digest.update(proc.stdout)
+    assert digest.hexdigest() in PINNED_OUTPUT_DIGESTS

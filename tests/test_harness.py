@@ -27,8 +27,7 @@ from digit_forensics.scoring import AggregateOutcome, TestOutcome
 def stats_of(means, stds=(), slopes=()):
     means = np.asarray(means, dtype=float)
     return ComputedStats(means=means, stds=np.asarray(stds, dtype=float),
-                         slopes=np.asarray(slopes, dtype=float),
-                         n_rows=10, n_features=means.size)
+                         slopes=np.asarray(slopes, dtype=float))
 
 
 class ForcedRng:
