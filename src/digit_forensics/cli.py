@@ -19,6 +19,7 @@ from .cache import ReferenceCache, entry_payload
 from .errors import CorruptCache, NoUsableOutcomes, TooManySkips
 from .harness import (
     DEFAULT_LEVELS,
+    DEFAULT_REPORT_ENTRIES,
     DEFAULT_THRESHOLD,
     LABEL_CLEAN,
     LABEL_MANIPULATED,
@@ -269,7 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
     pairs.add_argument("--pair-cap", type=_positive_int, default=DEFAULT_PAIR_CAP,
                        help="most column pairs used for slopes (default %(default)s)")
     reports = argparse.ArgumentParser(add_help=False)
-    reports.add_argument("--n", type=_positive_int, default=10,
+    reports.add_argument("--n", type=_positive_int, default=DEFAULT_REPORT_ENTRIES,
                          help="assumed sample size behind each statistic (default %(default)s)")
     out = argparse.ArgumentParser(add_help=False)
     out.add_argument("--out", metavar="PATH", help="also write the JSON result to PATH")

@@ -22,6 +22,8 @@ LABEL_MANIPULATED = "manipulated"
 
 DEFAULT_LEVELS = (0.90, 0.92, 0.94, 0.96, 0.98)
 DEFAULT_THRESHOLD = 0.5
+# Sample size assumed behind each reported statistic; reports carry none.
+DEFAULT_REPORT_ENTRIES = 10
 
 
 @dataclass(frozen=True)
@@ -230,7 +232,7 @@ def build_flag_table(scores: Mapping[str, float], levels: Sequence[float],
 
 def scan_corpus(reports: Sequence[ReportedStats], *, store: ReferenceStore,
                 levels: Sequence[float] = DEFAULT_LEVELS,
-                entries_per_vector: int = 10,
+                entries_per_vector: int = DEFAULT_REPORT_ENTRIES,
                 min_samples: int = DEFAULT_MIN_SAMPLES) -> ScanReport:
     """Score every report and tabulate flags at each confidence level.
 

@@ -21,6 +21,11 @@ DEFAULT_PAIR_CAP = 200
 # Cells of one block of slope pairs; bounds the memory of compute_stats.
 _BLOCK_CELLS = 1 << 14
 
+# Characters no separator may be: csv's quote and line ends, and for the
+# decimal separator anything float() already reads as part of a number.
+_CSV_SYNTAX = frozenset('"\r\n')
+_NUMBER_SYNTAX = frozenset("0123456789+-eE")
+
 
 @dataclass
 class DatasetMatrix:
@@ -80,6 +85,15 @@ def load_csv(path, *, delimiter: str = ",", header: bool = True,
     for option, char in (("delimiter", delimiter), ("decimal separator", decimal_separator)):
         if not isinstance(char, str) or len(char) != 1:
             raise MalformedCsv(f"{option} must be a single character, got {char!r}")
+        if char in _CSV_SYNTAX:
+            raise MalformedCsv(f"{option} must not be {char!r}, which CSV uses "
+                               "for quoting or line ends")
+    if decimal_separator in _NUMBER_SYNTAX:
+        raise MalformedCsv(f"decimal separator must not be {decimal_separator!r}, "
+                           "which is part of a number")
+    if decimal_separator == delimiter:
+        raise MalformedCsv(f"decimal separator must differ from the delimiter, "
+                           f"both are {delimiter!r}")
     try:
         with path.open(newline="", encoding="utf-8") as fh:
             rows = list(csv.reader(fh, delimiter=delimiter))

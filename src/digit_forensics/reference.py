@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import logging
 import math
+import threading
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -46,6 +47,10 @@ MAX_SKIP_FRACTION = 0.10
 # Calibration draws its null histograms in blocks of this many cells too,
 # which bounds its memory; there the split leaves the stream unchanged.
 _CHUNK_CELLS = 2_000_000
+# The worker conforms and reduces a drawn chunk in row blocks of about this
+# many cells: small enough to stay in cache, large enough that the two
+# threads seldom hand over the GIL. Any size gives the same counts.
+_SUB_CELLS = 1 << 18
 
 
 def size_bucket(n: int) -> int:
@@ -123,23 +128,49 @@ class ReferenceDistribution:
                             self.observed_len)
 
 
-def _synth_block(cfg: SynthesisConfig, rng: np.random.Generator, count: int) -> np.ndarray:
-    """``count`` synthetic vectors as a (count, entries) matrix."""
+def _draw(rng: np.random.Generator, count: int, entries: int) -> tuple[np.ndarray, np.ndarray]:
+    """Random part of ``count`` conforming vectors: decade offsets, then exponents."""
     c = DECADE_OFFSETS[rng.integers(0, DECADE_OFFSETS.size, size=count)].astype(float)
-    w = c[:, None] + rng.uniform(0.0, float(DECADE_SPAN),
-                                 size=(count, cfg.entries_per_vector))
-    return 10.0 ** w
+    return c, rng.uniform(0.0, float(DECADE_SPAN), size=(count, entries))
 
 
-def _operator_outputs(op: OperatorKind, cfg: SynthesisConfig,
-                      rng: np.random.Generator, count: int) -> np.ndarray:
-    x = _synth_block(cfg, rng, count)
+def _conform(c: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """The conforming vectors ``10 ** (c + u)``, computed in place over ``u``."""
+    u += c[:, None]
+    return np.power(10.0, u, out=u)
+
+
+def _operator_outputs(op: OperatorKind, drawn: list) -> np.ndarray:
+    x = _conform(*drawn[0])
     if op is OperatorKind.MEAN:
         return row_means(x)
     if op is OperatorKind.STD:
         return row_moments(x).std()
     # slope of y on x over pairs of independent synthetic vectors
-    return row_moments(x).slope(row_moments(_synth_block(cfg, rng, count)))
+    return row_moments(x).slope(row_moments(_conform(*drawn[1])))
+
+
+def _count_digits(op: OperatorKind, drawn: list, out: list) -> None:
+    """Append the digit counts and skips of one drawn chunk to ``out``.
+
+    Rows are conformed and reduced in sub-blocks of about _SUB_CELLS cells;
+    each row's output depends on that row alone. Runs on the worker thread,
+    so an exception is appended in place of the result, for the caller to
+    raise; every chunk thus leaves exactly one entry.
+    """
+    try:
+        rows, entries = drawn[0][1].shape
+        step = max(1, _SUB_CELLS // (entries * len(drawn)))
+        counts = np.zeros(10, dtype=np.int64)
+        skipped = 0
+        for lo in range(0, rows, step):
+            part = [(c[lo:lo + step], u[lo:lo + step]) for c, u in drawn]
+            digits, miss = extract_digits(_operator_outputs(op, part))
+            counts += np.bincount(digits, minlength=10)
+            skipped += miss
+        out.append((counts[1:], skipped))
+    except BaseException as exc:
+        out.append(exc)
 
 
 def generate_reference(op: OperatorKind, cfg: SynthesisConfig) -> GeneratedLaw:
@@ -148,21 +179,36 @@ def generate_reference(op: OperatorKind, cfg: SynthesisConfig) -> GeneratedLaw:
     Outputs without a digit (zero, non-finite, degenerate) are skipped
     and counted; generation aborts with TooManySkips when more than 10%
     of draws produce nothing.
+
+    The caller's thread draws the chunks in stream order while one worker
+    thread turns the previous chunk into digit counts, so at most two
+    chunks are alive at once. Counts are integer sums, so the law does not
+    depend on the timing.
     """
     gen = rngmod.substream(cfg.seed, rngmod.STREAM_GENERATE, operator_index(op),
                            cfg.entries_per_vector)
     matrices = 2 if op is OperatorKind.OLS_SLOPE else 1
     chunk = max(1, _CHUNK_CELLS // (cfg.entries_per_vector * matrices))
-    counts = np.zeros(9, dtype=np.int64)
-    skipped = 0
-    done = 0
-    while done < cfg.mc_draws:
-        take = min(chunk, cfg.mc_draws - done)
-        outputs = _operator_outputs(op, cfg, gen, take)
-        digits, miss = extract_digits(outputs)
-        counts += np.bincount(digits, minlength=10)[1:10]
-        skipped += miss
-        done += take
+    results: list = []
+    worker = None
+    try:
+        for done in range(0, cfg.mc_draws, chunk):
+            take = min(chunk, cfg.mc_draws - done)
+            drawn = [_draw(gen, take, cfg.entries_per_vector) for _ in range(matrices)]
+            if worker is not None:
+                worker.join()
+                if isinstance(results[-1], BaseException):
+                    break
+            worker = threading.Thread(target=_count_digits, args=(op, drawn, results))
+            worker.start()
+    finally:
+        if worker is not None:
+            worker.join()
+    for result in results:
+        if isinstance(result, BaseException):
+            raise result
+    counts = sum(c for c, _ in results)
+    skipped = sum(s for _, s in results)
     if skipped > MAX_SKIP_FRACTION * cfg.mc_draws:
         raise TooManySkips(
             f"{op.value}/n={cfg.entries_per_vector}: {skipped} of {cfg.mc_draws} "
@@ -211,6 +257,9 @@ class ReferenceStore:
     Keys are (operator, entries-per-vector bucket, observed-length
     bucket). Generation and calibration streams are derived from the key,
     so a reference is identical no matter which order keys get built in.
+    A law depends on (operator, entries bucket) alone, so each is
+    generated at most once per store and calibrated for every
+    observed-length bucket that needs it.
     A cached entry built under another seed, draw count or calibration
     sample count is still used, with a warning that names both.
     """
@@ -222,6 +271,7 @@ class ReferenceStore:
         self.mc_draws = mc_draws
         self.calibration_samples = calibration_samples
         self._memo: dict[ReferenceKey, ReferenceDistribution] = {}
+        self._laws: dict[tuple[str, int], GeneratedLaw] = {}
 
     def get(self, op: OperatorKind, entries_per_vector: int,
             observed_len: int) -> ReferenceDistribution:
@@ -249,7 +299,10 @@ class ReferenceStore:
                 return ref
         cfg = SynthesisConfig(entries_per_vector=key.entries_per_vector,
                               seed=self.seed, mc_draws=self.mc_draws)
-        ref = calibrate_floor(generate_reference(op, cfg), cfg,
+        law = self._laws.get(key[:2])
+        if law is None:
+            law = self._laws[key[:2]] = generate_reference(op, cfg)
+        ref = calibrate_floor(law, cfg,
                               observed_len=key.observed_len_bucket,
                               null_samples=self.calibration_samples)
         if self.cache is not None:

@@ -1,4 +1,5 @@
 import hashlib
+import inspect
 import json
 import os
 import subprocess
@@ -9,6 +10,8 @@ import pytest
 
 from digit_forensics import benford_pmf
 from digit_forensics.cache import CACHE_VERSION, checksum
+from digit_forensics.cli import build_parser
+from digit_forensics.harness import DEFAULT_REPORT_ENTRIES, scan_corpus
 
 FAST = ["--draws", "2000", "--calibration-samples", "20"]
 
@@ -229,6 +232,41 @@ class TestScoreDataset:
         assert proc.returncode == 0
         assert "overall:" in proc.stdout.decode()
 
+    @pytest.mark.parametrize("option,value,message", [
+        ("--decimal-separator", "e", "decimal separator must not be 'e'"),
+        ("--decimal-separator", "E", "decimal separator must not be 'E'"),
+        ("--decimal-separator", "1", "decimal separator must not be '1'"),
+        ("--decimal-separator", "+", "decimal separator must not be '+'"),
+        ("--decimal-separator", "-", "decimal separator must not be '-'"),
+        ("--decimal-separator", '"', "decimal separator must not be '\"'"),
+        ("--decimal-separator", ",", "decimal separator must differ from the delimiter"),
+        ("--delimiter", '"', "delimiter must not be '\"'"),
+        ("--delimiter", "\n", "delimiter must not be '\\n'"),
+        ("--delimiter", "\r", "delimiter must not be '\\r'"),
+    ], ids=["decimal-e", "decimal-E", "decimal-digit", "decimal-plus", "decimal-minus",
+            "decimal-quote", "decimal-is-delimiter", "delimiter-quote",
+            "delimiter-newline", "delimiter-return"])
+    def test_separator_that_corrupts_numbers_exits_2(self, csv_path, option, value,
+                                                     message):
+        proc = run_cli("score-dataset", str(csv_path), f"{option}={value}", *FAST)
+        assert proc.returncode == 2
+        assert proc.stderr.decode().startswith(f"error: {message}")
+        assert b"Traceback" not in proc.stderr
+
+    def test_semicolon_delimiter_with_decimal_comma(self, tmp_path):
+        plain = tmp_path / "plain.csv"
+        plain.write_text("\n".join(PINNED_ROWS) + "\n", encoding="utf-8")
+        path = tmp_path / "semicolon.csv"
+        path.write_text("\n".join(row.replace(",", ";").replace(".", ",")
+                                  for row in PINNED_ROWS) + "\n", encoding="utf-8")
+        proc = run_cli("score-dataset", str(path), "--delimiter", ";",
+                       "--decimal-separator", ",", "--seed", "3", *FAST)
+        assert proc.returncode == 0
+        doc = out_json(proc)
+        assert doc["n_features"] == 6 and doc["dropped_columns"] == []
+        expected = out_json(run_cli("score-dataset", str(plain), "--seed", "3", *FAST))
+        assert dict(doc, source=None) == dict(expected, source=None)
+
     def test_missing_file_exits_2(self, tmp_path):
         proc = run_cli("score-dataset", str(tmp_path / "absent.csv"), *FAST)
         assert proc.returncode == 2
@@ -327,6 +365,12 @@ class TestScanCorpus:
 class TestParser:
     def test_no_command_exits_2(self):
         assert run_cli().returncode == 2
+
+    @pytest.mark.parametrize("argv", [["score-stats", "report.json"],
+                                      ["scan-corpus", "reports"]])
+    def test_reports_n_default_is_scan_corpus_default(self, argv):
+        default = inspect.signature(scan_corpus).parameters["entries_per_vector"].default
+        assert build_parser().parse_args(argv).n == default == DEFAULT_REPORT_ENTRIES
 
     def test_import_loads_no_scipy(self):
         # start-up time dominates one-off CLI calls; scoring needs numpy only

@@ -78,6 +78,18 @@ class TestLoadCsv:
         assert m.columns[0][1].tolist() == [1.5, 3.5]
         assert m.columns[1][1].tolist() == [2.25, 4.75]
 
+    @pytest.mark.parametrize("kwargs", [
+        {"decimal_separator": "e"}, {"decimal_separator": "5"},
+        {"decimal_separator": "-"}, {"decimal_separator": ","},
+        {"delimiter": '"'}, {"delimiter": "\n"}, {"delimiter": ";", "decimal_separator": ";"},
+    ], ids=["decimal-e", "decimal-digit", "decimal-minus", "decimal-is-delimiter",
+            "delimiter-quote", "delimiter-newline", "both-semicolon"])
+    def test_separator_that_corrupts_numbers_rejected(self, tmp_path, kwargs):
+        # with "e" as decimal separator 1e5 would load as 1.5
+        path = write_csv(tmp_path, "a,b\n1e5,2\n3e2,4\n")
+        with pytest.raises(MalformedCsv, match="delimiter|decimal separator"):
+            load_csv(path, **kwargs)
+
     def test_blank_and_non_finite_cells_become_nan(self, tmp_path):
         path = write_csv(tmp_path, "a,b\n1,\n,inf\n3,9\n")
         m = load_csv(path)

@@ -1,11 +1,14 @@
 import hashlib
 import logging
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from digit_forensics import (
+    NoiseSpec,
     OperatorKind,
     ReferenceCache,
     ReferenceStore,
@@ -14,14 +17,16 @@ from digit_forensics import (
     benford_pmf,
     calibrate_floor,
     generate_reference,
+    run_validation,
     size_bucket,
     synthetic_corpus,
 )
 from digit_forensics import reference
-from digit_forensics.digits import histogram
-from digit_forensics.operators import operator_index
-from digit_forensics.reference import SIZE_BUCKETS, _synth_block
-from digit_forensics.rng import STREAM_CALIBRATE, substream
+from digit_forensics.digits import extract_digits, histogram
+from digit_forensics.operators import operator_index, row_means, row_moments
+from digit_forensics.reference import (DECADE_OFFSETS, DECADE_SPAN, SIZE_BUCKETS, _conform,
+                                       _draw)
+from digit_forensics.rng import STREAM_CALIBRATE, STREAM_GENERATE, substream
 from digit_forensics.scoring import ks_distances
 
 
@@ -73,22 +78,147 @@ class TestSynthesisConfig:
 class TestSynthVector:
     def test_range_forced_by_construction(self):
         # offsets -3..3 plus a 3-decade span: every entry in [1e-3, 1e6)
-        cfg = SynthesisConfig(entries_per_vector=500, seed=3)
-        block = _synth_block(cfg, substream(3, 0), 40)
+        block = _conform(*_draw(substream(3, 0), 40, 500))
         assert block.shape == (40, 500)
         assert np.all((block >= 1e-3) & (block < 1e6))
 
     def test_deterministic(self):
-        cfg = SynthesisConfig(entries_per_vector=50, seed=9)
-        a = _synth_block(cfg, substream(9, 0), 3)
-        b = _synth_block(cfg, substream(9, 0), 3)
+        a = _conform(*_draw(substream(9, 0), 3, 50))
+        b = _conform(*_draw(substream(9, 0), 3, 50))
         assert np.array_equal(a, b)
 
     def test_digit_marginal_near_base_law(self):
-        cfg = SynthesisConfig(entries_per_vector=50_000, seed=5)
-        hist, skipped = histogram(_synth_block(cfg, substream(5, 0), 1))
+        hist, skipped = histogram(_conform(*_draw(substream(5, 0), 1, 50_000)))
         assert skipped == 0
         assert tv_distance(hist.counts / hist.total, benford_pmf()) <= 0.02
+
+    def test_conform_in_place_is_ten_to_the_sum(self):
+        c, u = _draw(substream(8, 0), 30, 40)
+        expected = 10.0 ** (c[:, None] + u)
+        block = _conform(c, u)
+        assert block is u
+        assert np.array_equal(block, expected)
+
+
+def _sequential_counts(op, cfg):
+    """Digit counts and skips of ``op`` by one chunk after another on one
+    thread: the generation loop before drawing and arithmetic overlapped."""
+    def synth(gen, count):
+        c = DECADE_OFFSETS[gen.integers(0, DECADE_OFFSETS.size, size=count)].astype(float)
+        w = c[:, None] + gen.uniform(0.0, float(DECADE_SPAN),
+                                     size=(count, cfg.entries_per_vector))
+        return 10.0 ** w
+
+    gen = substream(cfg.seed, STREAM_GENERATE, operator_index(op), cfg.entries_per_vector)
+    matrices = 2 if op is OperatorKind.OLS_SLOPE else 1
+    chunk = max(1, reference._CHUNK_CELLS // (cfg.entries_per_vector * matrices))
+    counts = np.zeros(9, dtype=np.int64)
+    skipped = done = 0
+    while done < cfg.mc_draws:
+        take = min(chunk, cfg.mc_draws - done)
+        x = synth(gen, take)
+        if op is OperatorKind.MEAN:
+            outputs = row_means(x)
+        elif op is OperatorKind.STD:
+            outputs = row_moments(x).std()
+        else:
+            outputs = row_moments(x).slope(row_moments(synth(gen, take)))
+        digits, miss = extract_digits(outputs)
+        counts += np.bincount(digits, minlength=10)[1:10]
+        skipped += miss
+        done += take
+    return counts, skipped
+
+
+def _assert_matches_sequential(op, cfg):
+    counts, skipped = _sequential_counts(op, cfg)
+    if skipped > reference.MAX_SKIP_FRACTION * cfg.mc_draws:
+        with pytest.raises(TooManySkips):
+            generate_reference(op, cfg)
+        return
+    law = generate_reference(op, cfg)
+    assert law.pmf == tuple(float(p) for p in counts / counts.sum())
+    assert law.skipped_draws == skipped
+
+
+class TestGenerateMatchesSequentialLoop:
+    """The caller draws while one worker counts digits; the law must be the
+    one-thread loop's, bit for bit, whatever the chunk and sub-block sizes."""
+
+    @pytest.mark.parametrize("draws", [1000, 12_345])
+    @pytest.mark.parametrize("n", [1, 2, 10, 200, 1000])
+    @pytest.mark.parametrize("op", list(OperatorKind))
+    def test_bit_identical(self, op, n, draws):
+        _assert_matches_sequential(op, SynthesisConfig(n, seed=17, mc_draws=draws))
+
+    @pytest.mark.parametrize("op", list(OperatorKind))
+    def test_bit_identical_over_many_small_chunks(self, op, monkeypatch):
+        # 12 345 draws of 7 entries make 25 chunks (50 for the slope) with a
+        # short last one, and each chunk splits into uneven sub-blocks
+        monkeypatch.setattr(reference, "_CHUNK_CELLS", 3_500)
+        monkeypatch.setattr(reference, "_SUB_CELLS", 300)
+        _assert_matches_sequential(op, SynthesisConfig(7, seed=23, mc_draws=12_345))
+
+    def test_concurrent_callers_under_fast_switching(self, monkeypatch):
+        # four callers, each with its own worker; a thread switch every
+        # 10 microseconds must not move any count
+        monkeypatch.setattr(reference, "_CHUNK_CELLS", 20_000)
+        monkeypatch.setattr(reference, "_SUB_CELLS", 2_000)
+        cases = [(op, SynthesisConfig(n, seed=29, mc_draws=6_000))
+                 for op, n in zip(OperatorKind, (3, 40, 11))]
+        cases.append((OperatorKind.MEAN, SynthesisConfig(40, seed=30, mc_draws=6_000)))
+        laws = [None] * len(cases)
+
+        def build(i):
+            laws[i] = generate_reference(*cases[i])
+
+        threads = [threading.Thread(target=build, args=(i,)) for i in range(len(cases))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for (op, cfg), law in zip(cases, laws):
+            counts, skipped = _sequential_counts(op, cfg)
+            assert law.pmf == tuple(float(p) for p in counts / counts.sum())
+            assert law.skipped_draws == skipped
+
+    @pytest.mark.parametrize("fail_on", [1, 3])
+    def test_worker_error_propagates_and_the_worker_ends(self, fail_on, monkeypatch):
+        class Boom(Exception):
+            pass
+
+        calls = []
+
+        def failing(values):
+            calls.append(None)
+            if len(calls) == fail_on:
+                raise Boom("from the worker")
+            return extract_digits(values)
+
+        monkeypatch.setattr(reference, "_CHUNK_CELLS", 20_000)
+        monkeypatch.setattr(reference, "extract_digits", failing)
+        before = threading.active_count()
+        with pytest.raises(Boom, match="from the worker"):
+            generate_reference(OperatorKind.STD, SynthesisConfig(20, seed=3, mc_draws=5_000))
+        assert threading.active_count() == before
+
+    def test_std_memory_bounded_at_two_hundred_entries(self):
+        # 2e6-cell chunks: the one-thread loop peaked at 46 MiB; two chunks
+        # alive at once and sub-block temporaries stay under 40 MiB
+        cfg = SynthesisConfig(200, seed=4, mc_draws=40_000)
+        tracemalloc.start()
+        try:
+            generate_reference(OperatorKind.STD, cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 40 * 2 ** 20
 
 
 class TestGenerateReference:
@@ -240,6 +370,25 @@ class TestReferenceStore:
         assert "mean/n=1/obs=10" in message
         assert "seed=3 draws=1000 calibration_samples=5" in message
         assert "seed=3 draws=2000 calibration_samples=5" in message
+
+    def test_builds_each_law_once(self, monkeypatch):
+        built = []
+
+        def counting(op, cfg):
+            built.append((op, cfg.entries_per_vector))
+            return generate_reference(op, cfg)
+
+        monkeypatch.setattr(reference, "generate_reference", counting)
+        store = ReferenceStore(seed=6, mc_draws=2_000, calibration_samples=50)
+        run_validation(synthetic_corpus(12, seed=6), NoiseSpec(seed=6), store=store, seed=6)
+        refs = list(store._memo.values())
+        assert len(set(built)) == len(built)
+        assert set(built) == {(r.operator, r.entries_per_vector) for r in refs}
+        assert len(refs) > len(built)  # some law served several observed lengths
+        for ref in refs:
+            cfg = SynthesisConfig(ref.entries_per_vector, seed=6, mc_draws=2_000)
+            law = generate_reference(ref.operator, cfg)
+            assert ref == calibrate_floor(law, cfg, ref.observed_len, 50)
 
     def test_cache_hit_under_same_knobs_is_silent(self, tmp_path, caplog):
         path = tmp_path / "refs.json"
