@@ -3,9 +3,10 @@
 One file holds every entry. Floats are serialized with Python's shortest
 round-trip repr, so a stored pmf reloads bit-exactly. Each entry carries
 a SHA-256 checksum over its canonical serialization (sorted keys, no
-whitespace, checksum field excluded). Writes go through an atomic
-replace, which keeps concurrent readers consistent; concurrent writers
-must be serialised by the caller.
+whitespace, checksum field excluded). A parse checks each entry's checksum,
+then builds its reference; one bad entry refuses the whole file. Writes go
+through an atomic replace, which keeps concurrent readers consistent;
+concurrent writers must be serialised by the caller.
 """
 from __future__ import annotations
 
@@ -22,9 +23,6 @@ from .reference import ReferenceDistribution, ReferenceKey
 # Version 1 files hold floors calibrated with Monte-Carlo p-values; they
 # are refused rather than mixed with exact scores.
 CACHE_VERSION = 2
-
-_ENTRY_FIELDS = ("operator", "entries_per_vector", "observed_len_bucket", "pmf",
-                 "calibration_floor", "mc_draws", "calibration_samples", "seed")
 
 
 def entry_payload(ref: ReferenceDistribution) -> dict:
@@ -55,32 +53,30 @@ class ReferenceCache:
 
     def __init__(self, path):
         self.path = Path(path)
-        # Every load reads the file, but only bytes that differ from the
-        # last ones read are parsed and checksummed again.
+        # Every load reads the file; only new bytes are parsed and checked.
         self._raw: bytes | None = None
-        self._entries: dict[ReferenceKey, dict] = {}
+        self._refs: dict[ReferenceKey, ReferenceDistribution] = {}
 
     def load(self, operator: OperatorKind, entries_per_vector: int,
              observed_len_bucket: int) -> ReferenceDistribution:
-        entries = self._read()
         key = ReferenceKey(operator.value, entries_per_vector, observed_len_bucket)
-        entry = entries.get(key)
-        if entry is None:
+        ref = self._read().get(key)
+        if ref is None:
             raise CacheMiss(f"no cached reference for {key}")
-        return _from_entry(entry)
+        return ref
 
     def store(self, ref: ReferenceDistribution) -> None:
-        entries = dict(self._read())
-        entries[ref.key] = entry_payload(ref)
-        self._write(entries)
+        refs = dict(self._read())
+        refs[ref.key] = ref
+        self._write(refs)
 
-    def _read(self) -> dict[ReferenceKey, dict]:
+    def _read(self) -> dict[ReferenceKey, ReferenceDistribution]:
         try:
             raw = self.path.read_bytes()
         except FileNotFoundError:
             return {}
         if raw == self._raw:
-            return self._entries
+            return self._refs
         try:
             doc = json.loads(raw.decode("utf-8"))
         except (ValueError, RecursionError) as exc:
@@ -96,21 +92,23 @@ class ReferenceCache:
         raw_entries = doc.get("entries")
         if not isinstance(raw_entries, list):
             raise CorruptCache(f"{self.path}: entries must be a list")
-        entries = {}
+        refs = {}
         for i, entry in enumerate(raw_entries):
-            if not isinstance(entry, dict) or any(f not in entry for f in _ENTRY_FIELDS):
-                raise CorruptCache(f"{self.path}: entry {i} is missing fields")
-            if entry.get("checksum") != checksum(entry):
+            if not isinstance(entry, dict) or entry.get("checksum") != checksum(entry):
                 raise CorruptCache(f"{self.path}: entry {i} failed its checksum")
-            entries[_key_of(entry)] = entry
-        self._raw, self._entries = raw, entries
-        return entries
+            try:
+                ref = _from_entry(entry)
+            except (KeyError, TypeError, ValueError, OverflowError) as exc:
+                raise CorruptCache(
+                    f"{self.path}: entry {i}: invalid cache entry "
+                    f"({type(exc).__name__}: {exc})") from exc
+            refs[ref.key] = ref
+        self._raw, self._refs = raw, refs
+        return refs
 
-    def _write(self, entries: dict[ReferenceKey, dict]) -> None:
-        doc = {
-            "version": CACHE_VERSION,
-            "entries": [entries[k] for k in sorted(entries)],
-        }
+    def _write(self, refs: dict[ReferenceKey, ReferenceDistribution]) -> None:
+        entries = [entry_payload(refs[k]) for k in sorted(refs)]
+        doc = {"version": CACHE_VERSION, "entries": entries}
         self.path.parent.mkdir(parents=True, exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=self.path.parent, suffix=".tmp")
         try:
@@ -124,22 +122,14 @@ class ReferenceCache:
             raise
 
 
-def _key_of(entry: dict) -> ReferenceKey:
-    return ReferenceKey(entry["operator"], entry["entries_per_vector"],
-                        entry["observed_len_bucket"])
-
-
 def _from_entry(entry: dict) -> ReferenceDistribution:
-    try:
-        return ReferenceDistribution(
-            operator=OperatorKind(entry["operator"]),
-            entries_per_vector=int(entry["entries_per_vector"]),
-            pmf=tuple(float(p) for p in entry["pmf"]),
-            calibration_floor=float(entry["calibration_floor"]),
-            observed_len=int(entry["observed_len_bucket"]),
-            mc_draws=int(entry["mc_draws"]),
-            calibration_samples=int(entry["calibration_samples"]),
-            seed=int(entry["seed"]),
-        )
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise CorruptCache(f"invalid cache entry: {exc}") from exc
+    return ReferenceDistribution(
+        operator=OperatorKind(entry["operator"]),
+        entries_per_vector=int(entry["entries_per_vector"]),
+        pmf=tuple(float(p) for p in entry["pmf"]),
+        calibration_floor=float(entry["calibration_floor"]),
+        observed_len=int(entry["observed_len_bucket"]),
+        mc_draws=int(entry["mc_draws"]),
+        calibration_samples=int(entry["calibration_samples"]),
+        seed=int(entry["seed"]),
+    )

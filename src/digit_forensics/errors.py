@@ -10,7 +10,7 @@ class EmptyHistogram(DigitForensicsError, ValueError):
 
 
 class DegenerateInput(DigitForensicsError, ValueError):
-    """Operator input is too short or has no variance."""
+    """Raised only by ``run_validation``'s corpus-size check (odd, or fewer than 2)."""
 
 
 class TooManySkips(DigitForensicsError, RuntimeError):

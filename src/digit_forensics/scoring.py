@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping
 
 import numpy as np
 
@@ -245,17 +245,15 @@ def flag(overall: float, confidence_level: float) -> bool:
 
 def score_groups(groups: Mapping, entries_per_vector: int, store: "ReferenceStore", *,
                  min_samples: int = DEFAULT_MIN_SAMPLES) -> AggregateOutcome:
-    """Score every recognised statistic group of one source and aggregate.
+    """Score every statistic group of one source and aggregate.
 
     ``groups`` maps operator (or its serialized name) to a sequence of
-    reported values. References come from ``store``, keyed by
-    ``entries_per_vector`` and each group's usable digit count; groups
-    below ``min_samples`` are reported without touching the store.
+    reported values; any other key raises ``UnknownOperator``. References
+    come from ``store``, keyed by ``entries_per_vector`` and each group's
+    usable digit count; groups below ``min_samples`` are reported without
+    touching the store.
     """
-    normalized: dict[OperatorKind, Sequence] = {}
-    for key, values in groups.items():
-        op = OperatorKind.from_name(key) if isinstance(key, str) else key
-        normalized[op] = values
+    normalized = {OperatorKind.from_name(key): values for key, values in groups.items()}
     outcomes = []
     for op in OPERATOR_ORDER:
         if op not in normalized:

@@ -8,6 +8,7 @@ from digit_forensics import (
     CorruptCache,
     OperatorKind,
     ReferenceCache,
+    ReferenceStore,
     SynthesisConfig,
     calibrate_floor,
     generate_reference,
@@ -129,6 +130,42 @@ class TestCorruption:
         path.write_text(json.dumps({"version": CACHE_VERSION, "entries": [entry]}))
         with pytest.raises(CorruptCache):
             ReferenceCache(path).load(OperatorKind.MEAN, 1, 10)
+
+
+ENTRY_FIELDS = ("operator", "entries_per_vector", "observed_len_bucket", "pmf",
+                "calibration_floor", "mc_draws", "calibration_samples", "seed")
+HOSTILE_VALUES = [None, True, "x", "10", [], {}, [1], -1, 0, 1.5, 1e308,
+                  float("nan"), 10 ** 399]
+HOSTILE_IDS = ["null", "true", "x", "str10", "empty-list", "empty-object",
+               "list1", "minus1", "zero", "1.5", "1e308", "nan", "400-digits"]
+
+
+class TestHostileEntry:
+    """A type-broken entry with a valid checksum never escapes as a traceback."""
+
+    @pytest.mark.parametrize("value", HOSTILE_VALUES, ids=HOSTILE_IDS)
+    @pytest.mark.parametrize("field", ENTRY_FIELDS)
+    def test_load_and_store_refuse_or_accept(self, tmp_path, calibrated_ref,
+                                             second_ref, field, value):
+        bad = entry_payload(second_ref)
+        bad[field] = value
+        bad["checksum"] = checksum(bad)
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"version": CACHE_VERSION,
+                                    "entries": [bad, entry_payload(calibrated_ref)]}))
+        before = path.read_bytes()
+        try:
+            assert ReferenceCache(path).load(OperatorKind.MEAN, 1, 10) == calibrated_ref
+        except CorruptCache as exc:
+            assert f"{path}: entry 0" in str(exc)
+        store = ReferenceStore(seed=11, cache=ReferenceCache(path), mc_draws=1000,
+                               calibration_samples=5)
+        try:
+            store.get(OperatorKind.MEAN, 5, 20)  # not in the file
+        except CorruptCache:
+            assert path.read_bytes() == before
+        else:
+            assert ReferenceCache(path).load(OperatorKind.MEAN, 1, 10) == calibrated_ref
 
 
 class TestParseMemo:

@@ -195,7 +195,9 @@ class TestScoreStats:
     @pytest.mark.parametrize("field,raw", [
         ("calibration_floor", "1" + "0" * 400),
         ("mc_draws", "Infinity"),
-    ], ids=["huge-floor", "infinite-draws"])
+        ("operator", '["mean"]'),
+        ("entries_per_vector", "[20]"),
+    ], ids=["huge-floor", "infinite-draws", "list-operator", "list-entries"])
     def test_out_of_range_cache_entry_exits_2(self, report_dir, tmp_path, field, raw):
         entry = {"operator": "mean", "entries_per_vector": 20,
                  "observed_len_bucket": 10, "pmf": [float(p) for p in benford_pmf()],
@@ -209,7 +211,7 @@ class TestScoreStats:
         proc = run_cli("score-stats", str(report_dir / "a.json"), "--n", "20",
                        "--cache", str(cache), *FAST)
         assert proc.returncode == 2
-        assert "invalid cache entry" in proc.stderr.decode()
+        assert f"{cache}: entry 0: invalid cache entry" in proc.stderr.decode()
         assert b"Traceback" not in proc.stderr
 
 
@@ -437,3 +439,19 @@ def test_outputs_are_pinned(report_dir, tmp_path):
         digest.update(f"{label}\0{proc.returncode}\0".encode())
         digest.update(proc.stdout)
     assert digest.hexdigest() in PINNED_OUTPUT_DIGESTS
+
+
+# sha256 of the cache file that test_cache_file_is_pinned builds, recorded with
+# numpy 2.4.6 before the cache kept parsed references instead of raw entries.
+PINNED_CACHE_DIGEST = "1a3d605273c4d0f6861a1025db396a8bebf0f29907ef8f5f4046ce86393d15dd"
+
+
+def test_cache_file_is_pinned(tmp_path):
+    """Each gen-ref run reads, merges and rewrites one cache file; its bytes stay fixed."""
+    cache = tmp_path / "refs.json"
+    for op in ("mean", "std", "ols_slope"):
+        proc = run_cli("gen-ref", "--operator", op, "--n", "5", "--obs-len", "20",
+                       "--draws", "2000", "--calibration-samples", "50",
+                       "--cache", str(cache))
+        assert proc.returncode == 0, proc.stderr.decode()
+    assert hashlib.sha256(cache.read_bytes()).hexdigest() == PINNED_CACHE_DIGEST

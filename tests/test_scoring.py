@@ -315,6 +315,14 @@ class TestScoreGroups:
         with pytest.raises(UnknownOperator, match="median"):
             score_groups({"median": [1.0] * 9}, 10, small_store)
 
+    @pytest.mark.parametrize("groups", [
+        {"mean": [1.2, 2.3, 3.4, 4.5, 9.6, 1.7, 5.1, 7.3], 7: [1.0] * 9},
+        {7: [1.0] * 9},
+    ], ids=["beside-an-operator", "alone"])
+    def test_non_operator_key_rejected(self, small_store, groups):
+        with pytest.raises(UnknownOperator, match="unknown operator 7"):
+            score_groups(groups, 10, small_store)
+
     def test_thin_groups_listed_without_store_access(self, small_store):
         values = [1.2, 2.3, 3.4, 4.5, 9.6, 1.7, 5.1, 7.3]
         result = score_groups({"mean": values, "std": [1.0, 2.0]}, 10,
