@@ -64,7 +64,6 @@ from .scoring import (
     ks_p_value,
     normalize_score,
     score_groups,
-    score_operator,
 )
 
 __version__ = "0.1.0"
@@ -119,7 +118,6 @@ __all__ = [
     "run_validation",
     "scan_corpus",
     "score_groups",
-    "score_operator",
     "size_bucket",
     "synthetic_corpus",
 ]

@@ -4,7 +4,8 @@ One file holds every entry. Floats are serialized with Python's shortest
 round-trip repr, so a stored pmf reloads bit-exactly. Each entry carries
 a SHA-256 checksum over its canonical serialization (sorted keys, no
 whitespace, checksum field excluded). A parse checks each entry's checksum,
-then builds its reference; one bad entry refuses the whole file. Writes go
+then builds its reference from strictly typed fields; one bad entry, or two
+entries for one key, refuses the whole file. Writes go
 through an atomic replace, which keeps concurrent readers consistent;
 concurrent writers must be serialised by the caller.
 """
@@ -18,7 +19,7 @@ from pathlib import Path
 
 from .errors import CacheMiss, CorruptCache
 from .operators import OperatorKind
-from .reference import ReferenceDistribution, ReferenceKey
+from .reference import MIN_DRAWS, SIZE_BUCKETS, ReferenceDistribution, ReferenceKey
 
 # Version 1 files hold floors calibrated with Monte-Carlo p-values; they
 # are refused rather than mixed with exact scores.
@@ -92,7 +93,7 @@ class ReferenceCache:
         raw_entries = doc.get("entries")
         if not isinstance(raw_entries, list):
             raise CorruptCache(f"{self.path}: entries must be a list")
-        refs = {}
+        refs, index = {}, {}
         for i, entry in enumerate(raw_entries):
             if not isinstance(entry, dict) or entry.get("checksum") != checksum(entry):
                 raise CorruptCache(f"{self.path}: entry {i} failed its checksum")
@@ -102,7 +103,10 @@ class ReferenceCache:
                 raise CorruptCache(
                     f"{self.path}: entry {i}: invalid cache entry "
                     f"({type(exc).__name__}: {exc})") from exc
-            refs[ref.key] = ref
+            if ref.key in refs:
+                raise CorruptCache(f"{self.path}: entries {index[ref.key]} and {i} "
+                                   f"both hold {ref.key}")
+            refs[ref.key], index[ref.key] = ref, i
         self._raw, self._refs = raw, refs
         return refs
 
@@ -122,14 +126,26 @@ class ReferenceCache:
             raise
 
 
+def _integer(entry: dict, name: str, lowest: int, buckets: tuple = ()) -> int:
+    """``entry[name]`` if it is an int, not a bool, >= ``lowest`` and in ``buckets``."""
+    value = entry[name]
+    if type(value) is not int or value < lowest or (buckets and value not in buckets):
+        rule = f"one of {buckets}" if buckets else f"an integer >= {lowest}"
+        raise ValueError(f"{name} must be {rule}, got {value!r}")
+    return value
+
+
 def _from_entry(entry: dict) -> ReferenceDistribution:
+    floor = entry["calibration_floor"]
+    if type(floor) is not float:
+        raise TypeError(f"calibration_floor must be a float, got {floor!r}")
     return ReferenceDistribution(
         operator=OperatorKind(entry["operator"]),
-        entries_per_vector=int(entry["entries_per_vector"]),
+        entries_per_vector=_integer(entry, "entries_per_vector", 1, SIZE_BUCKETS),
         pmf=tuple(float(p) for p in entry["pmf"]),
-        calibration_floor=float(entry["calibration_floor"]),
-        observed_len=int(entry["observed_len_bucket"]),
-        mc_draws=int(entry["mc_draws"]),
-        calibration_samples=int(entry["calibration_samples"]),
-        seed=int(entry["seed"]),
+        calibration_floor=floor,
+        observed_len=_integer(entry, "observed_len_bucket", 1, SIZE_BUCKETS),
+        mc_draws=_integer(entry, "mc_draws", MIN_DRAWS),
+        calibration_samples=_integer(entry, "calibration_samples", 1),
+        seed=_integer(entry, "seed", 0),
     )

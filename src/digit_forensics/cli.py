@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import logging
-import os
 import sys
 from pathlib import Path
 
@@ -32,11 +31,10 @@ from .harness import (
 )
 from .ingest import DEFAULT_PAIR_CAP, compute_stats, load_csv, load_report
 from .operators import OPERATOR_ORDER, OperatorKind
-from .reference import DEFAULT_CALIBRATION_SAMPLES, DEFAULT_DRAWS, ReferenceStore
+from .reference import DEFAULT_CALIBRATION_SAMPLES, DEFAULT_DRAWS, MIN_DRAWS, ReferenceStore
 from .scoring import DEFAULT_MIN_SAMPLES, flag, score_groups
 
 DEFAULT_SEED = 1729
-CACHE_ENV_VAR = "DIGIT_FORENSICS_CACHE"
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -52,11 +50,23 @@ def _probability(text: str) -> float:
     return value
 
 
-def _positive_int(text: str) -> int:
+def _int_at_least(text: str, lowest: int, wanted: str) -> int:
     value = int(text)
-    if value <= 0:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    if value < lowest:
+        raise argparse.ArgumentTypeError(f"expected {wanted}, got {text!r}")
     return value
+
+
+def _positive_int(text: str) -> int:
+    return _int_at_least(text, 1, "a positive integer")
+
+
+def _seed(text: str) -> int:
+    return _int_at_least(text, 0, "a non-negative integer")
+
+
+def _draws(text: str) -> int:
+    return _int_at_least(text, MIN_DRAWS, f"an integer >= {MIN_DRAWS}")
 
 
 def _write_output(args: argparse.Namespace, payload: dict, render) -> None:
@@ -69,8 +79,7 @@ def _write_output(args: argparse.Namespace, payload: dict, render) -> None:
 
 
 def _store(args: argparse.Namespace) -> ReferenceStore:
-    cache_path = os.environ.get(CACHE_ENV_VAR) or args.cache
-    cache = ReferenceCache(cache_path) if cache_path else None
+    cache = ReferenceCache(args.cache) if args.cache else None
     return ReferenceStore(seed=args.seed, cache=cache, mc_draws=args.draws,
                           calibration_samples=args.calibration_samples)
 
@@ -243,20 +252,19 @@ def _cmd_scan_corpus(args: argparse.Namespace) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=DEFAULT_SEED,
+    common.add_argument("--seed", type=_seed, default=DEFAULT_SEED,
                         help="master seed for every stochastic step (default %(default)s)")
     common.add_argument("--cache", default=None, metavar="PATH",
-                        help=f"reference cache JSON file; the {CACHE_ENV_VAR} "
-                             "environment variable overrides this")
-    common.add_argument("--draws", type=_positive_int, default=DEFAULT_DRAWS,
+                        help="reference cache JSON file")
+    common.add_argument("--draws", type=_draws, default=DEFAULT_DRAWS,
                         help="Monte-Carlo draws per reference (default %(default)s)")
     common.add_argument("--calibration-samples", type=_positive_int,
                         default=DEFAULT_CALIBRATION_SAMPLES, metavar="N",
                         help="null histograms per calibration floor (default %(default)s)")
     common.add_argument("--format", choices=("json", "text"), default="json",
                         help="stdout format (default %(default)s)")
-    common.add_argument("-v", "--verbose", action="count", default=0,
-                        help="log progress to stderr (-vv for debug)")
+    common.add_argument("-v", "--verbose", action="store_true",
+                        help="log progress to stderr")
 
     scoring = argparse.ArgumentParser(add_help=False)
     scoring.add_argument("--min-samples", type=_positive_int,
@@ -330,19 +338,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _setup_logging(verbosity: int) -> None:
-    level = logging.WARNING
-    if verbosity == 1:
-        level = logging.INFO
-    elif verbosity >= 2:
-        level = logging.DEBUG
-    logging.basicConfig(level=level, stream=sys.stderr,
-                        format="%(levelname)s %(name)s: %(message)s")
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    _setup_logging(args.verbose)
+    logging.basicConfig(level=logging.INFO if args.verbose else logging.WARNING,
+                        stream=sys.stderr, format="%(levelname)s %(name)s: %(message)s")
     try:
         return args.func(args)
     except NoUsableOutcomes as exc:

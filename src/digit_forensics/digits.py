@@ -84,14 +84,6 @@ class DigitHistogram:
     def total(self) -> int:
         return int(self.counts.sum())
 
-    def __eq__(self, other):
-        if not isinstance(other, DigitHistogram):
-            return NotImplemented
-        return bool(np.array_equal(self.counts, other.counts))
-
-    def __hash__(self):
-        return hash(tuple(int(c) for c in self.counts))
-
     def __repr__(self):
         return f"DigitHistogram({self.counts.tolist()})"
 

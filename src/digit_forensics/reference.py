@@ -28,6 +28,7 @@ logger = logging.getLogger(__name__)
 SIZE_BUCKETS = (1, 2, 5, 10, 20, 50, 100, 200, 500, 1000)
 
 DEFAULT_DRAWS = 100_000
+MIN_DRAWS = 1000
 DEFAULT_CALIBRATION_SAMPLES = 1000
 
 # The conforming-vector model: every entry is 10**(c + U[0, DECADE_SPAN])
@@ -65,6 +66,13 @@ def size_bucket(n: int) -> int:
     return SIZE_BUCKETS[int(np.argmin(logs))]
 
 
+def _check_knobs(seed: int, mc_draws: int) -> None:
+    if mc_draws < MIN_DRAWS:
+        raise ValueError(f"mc_draws must be >= {MIN_DRAWS}")
+    if seed < 0:
+        raise ValueError("seed must be non-negative")
+
+
 class ReferenceKey(NamedTuple):
     """Cache key for a calibrated reference."""
 
@@ -84,10 +92,7 @@ class SynthesisConfig:
     def __post_init__(self):
         if self.entries_per_vector < 1:
             raise ValueError("entries_per_vector must be >= 1")
-        if self.mc_draws < 1000:
-            raise ValueError("mc_draws must be >= 1000")
-        if self.seed < 0:
-            raise ValueError("seed must be non-negative")
+        _check_knobs(self.seed, self.mc_draws)
 
 
 class GeneratedLaw(NamedTuple):
@@ -261,11 +266,15 @@ class ReferenceStore:
     generated at most once per store and calibrated for every
     observed-length bucket that needs it.
     A cached entry built under another seed, draw count or calibration
-    sample count is still used, with a warning that names both.
+    sample count is still used, with a warning that names both. The
+    knobs themselves are checked here, before any cache lookup.
     """
 
     def __init__(self, *, seed: int, cache=None, mc_draws: int = DEFAULT_DRAWS,
                  calibration_samples: int = DEFAULT_CALIBRATION_SAMPLES):
+        _check_knobs(seed, mc_draws)
+        if calibration_samples < 1:
+            raise ValueError("calibration_samples must be >= 1")
         self.seed = seed
         self.cache = cache
         self.mc_draws = mc_draws

@@ -19,7 +19,7 @@ from .errors import EmptyHistogram, NoUsableOutcomes
 from .operators import OPERATOR_ORDER, OperatorKind
 
 if TYPE_CHECKING:
-    from .reference import ReferenceDistribution, ReferenceStore
+    from .reference import ReferenceStore
 
 DEFAULT_MIN_SAMPLES = 5
 
@@ -195,34 +195,6 @@ def normalize_score(raw: float, floor: float) -> float:
     return min(max((raw - floor) / (1.0 - floor), 0.0), 1.0)
 
 
-def score_operator(values, op: OperatorKind, ref: "ReferenceDistribution",
-                   min_samples: int = DEFAULT_MIN_SAMPLES):
-    """Score one group of reported values against a calibrated reference.
-
-    Returns a TestOutcome, or InsufficientData when fewer than
-    ``min_samples`` values carry a usable leading digit.
-    """
-    hist, skipped = histogram(values)
-    return _score_histogram(hist, skipped, op, ref, min_samples)
-
-
-def _score_histogram(hist: DigitHistogram, skipped: int, op: OperatorKind,
-                     ref: "ReferenceDistribution | None", min_samples: int):
-    if hist.total < min_samples:
-        return InsufficientData(op, usable=hist.total, required=min_samples,
-                                skipped=skipped)
-    result = ks_p_value(hist, ref.pmf)
-    raw = 1.0 - result.p_value
-    return TestOutcome(
-        operator=op,
-        raw_score=raw,
-        normalized_score=normalize_score(raw, ref.calibration_floor),
-        sample_count=hist.total,
-        skipped=skipped,
-        reference_key=ref.key,
-    )
-
-
 def aggregate(outcomes: Iterable) -> AggregateOutcome:
     """Mean of the normalised scores; thin groups are listed, not averaged."""
     outcomes = tuple(outcomes)
@@ -259,6 +231,14 @@ def score_groups(groups: Mapping, entries_per_vector: int, store: "ReferenceStor
         if op not in normalized:
             continue
         hist, skipped = histogram(normalized[op])
-        ref = store.get(op, entries_per_vector, hist.total) if hist.total >= min_samples else None
-        outcomes.append(_score_histogram(hist, skipped, op, ref, min_samples))
+        if hist.total < min_samples:
+            outcomes.append(InsufficientData(op, usable=hist.total, required=min_samples,
+                                             skipped=skipped))
+            continue
+        ref = store.get(op, entries_per_vector, hist.total)
+        raw = 1.0 - ks_p_value(hist, ref.pmf).p_value
+        outcomes.append(TestOutcome(
+            operator=op, raw_score=raw,
+            normalized_score=normalize_score(raw, ref.calibration_floor),
+            sample_count=hist.total, skipped=skipped, reference_key=ref.key))
     return aggregate(outcomes)

@@ -7,7 +7,6 @@ yields one visible verdict per criterion.
 import itertools
 import json
 import math
-import os
 import subprocess
 import sys
 import time
@@ -29,7 +28,7 @@ from digit_forensics import (
     ks_discrete,
     ks_p_value,
     run_validation,
-    score_operator,
+    score_groups,
     synthetic_corpus,
 )
 from digit_forensics.rng import substream
@@ -160,7 +159,7 @@ def test_criterion_7_null_calibration_sanity(capsys, production_store):
     zero_when_under = True
     for i in range(200):
         values = substream(31337, i).choice(digits, size=20, p=ref.pmf)
-        outcome = score_operator(values, OperatorKind.MEAN, ref)
+        [outcome] = score_groups({"mean": values}, 10, production_store).per_operator
         below_half += outcome.normalized_score < 0.5
         if outcome.raw_score <= ref.calibration_floor:
             at_floor += 1
@@ -190,11 +189,10 @@ def test_criterion_8_cli_byte_determinism(capsys, tmp_path):
         "scan-corpus": ["scan-corpus", str(reports), "--seed", "1729",
                         "--draws", "5000", "--calibration-samples", "50"],
     }
-    env = {k: v for k, v in os.environ.items() if k != "DIGIT_FORENSICS_CACHE"}
     identical = True
     for name, args in commands.items():
         runs = [subprocess.run([sys.executable, "-m", "digit_forensics",
-                                *args], capture_output=True, env=env)
+                                *args], capture_output=True)
                 for _ in range(2)]
         assert all(r.returncode == 0 for r in runs), runs[0].stderr.decode()
         identical = identical and runs[0].stdout == runs[1].stdout

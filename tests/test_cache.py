@@ -1,4 +1,5 @@
 import json
+import math
 import os
 
 import pytest
@@ -118,6 +119,15 @@ class TestCorruption:
         with pytest.raises(CorruptCache):
             cache.load(OperatorKind.MEAN, 1, 10)
 
+    def test_duplicate_key_names_both_entries(self, tmp_path, calibrated_ref):
+        first = entry_payload(calibrated_ref)
+        second = dict(first, calibration_floor=0.5)
+        second["checksum"] = checksum(second)
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"version": CACHE_VERSION, "entries": [first, second]}))
+        with pytest.raises(CorruptCache, match="entries 0 and 1 both hold"):
+            ReferenceCache(path).load(OperatorKind.MEAN, 1, 10)
+
     def test_type_broken_entry_with_valid_checksum(self, tmp_path):
         entry = {
             "operator": "mean", "entries_per_vector": 1,
@@ -140,8 +150,13 @@ HOSTILE_IDS = ["null", "true", "x", "str10", "empty-list", "empty-object",
                "list1", "minus1", "zero", "1.5", "1e308", "nan", "400-digits"]
 
 
+# The counts a checked entry accepts: exact integers (not bools) at or above
+# these; every other hostile value, in any field, refuses the file.
+LOWEST_COUNT = {"mc_draws": 1000, "calibration_samples": 1, "seed": 0}
+
+
 class TestHostileEntry:
-    """A type-broken entry with a valid checksum never escapes as a traceback."""
+    """A checksum-valid entry with a coerced or out-of-range field refuses the file."""
 
     @pytest.mark.parametrize("value", HOSTILE_VALUES, ids=HOSTILE_IDS)
     @pytest.mark.parametrize("field", ENTRY_FIELDS)
@@ -154,18 +169,19 @@ class TestHostileEntry:
         path.write_text(json.dumps({"version": CACHE_VERSION,
                                     "entries": [bad, entry_payload(calibrated_ref)]}))
         before = path.read_bytes()
-        try:
-            assert ReferenceCache(path).load(OperatorKind.MEAN, 1, 10) == calibrated_ref
-        except CorruptCache as exc:
-            assert f"{path}: entry 0" in str(exc)
         store = ReferenceStore(seed=11, cache=ReferenceCache(path), mc_draws=1000,
                                calibration_samples=5)
-        try:
-            store.get(OperatorKind.MEAN, 5, 20)  # not in the file
-        except CorruptCache:
-            assert path.read_bytes() == before
-        else:
+        if type(value) is int and value >= LOWEST_COUNT.get(field, math.inf):
             assert ReferenceCache(path).load(OperatorKind.MEAN, 1, 10) == calibrated_ref
+            store.get(OperatorKind.MEAN, 5, 20)  # not in the file
+            assert ReferenceCache(path).load(OperatorKind.MEAN, 1, 10) == calibrated_ref
+            return
+        with pytest.raises(CorruptCache) as refused:
+            ReferenceCache(path).load(OperatorKind.MEAN, 1, 10)
+        assert str(refused.value).startswith(f"{path}: entry 0: invalid cache entry")
+        with pytest.raises(CorruptCache):
+            store.get(OperatorKind.MEAN, 5, 20)
+        assert path.read_bytes() == before
 
 
 class TestParseMemo:

@@ -1,7 +1,6 @@
 import hashlib
 import inspect
 import json
-import os
 import subprocess
 import sys
 
@@ -16,12 +15,9 @@ from digit_forensics.harness import DEFAULT_REPORT_ENTRIES, scan_corpus
 FAST = ["--draws", "2000", "--calibration-samples", "20"]
 
 
-def run_cli(*args, env_extra=None, cwd=None):
-    env = {k: v for k, v in os.environ.items() if k != "DIGIT_FORENSICS_CACHE"}
-    if env_extra:
-        env.update(env_extra)
+def run_cli(*args):
     return subprocess.run([sys.executable, "-m", "digit_forensics", *args],
-                          capture_output=True, env=env, cwd=cwd)
+                          capture_output=True)
 
 
 def out_json(proc):
@@ -100,16 +96,6 @@ class TestGenRef:
         assert "mean/n=1/obs=20" in warning
         assert "seed=5 draws=2000 calibration_samples=20" in warning
         assert "seed=5 draws=4000 calibration_samples=20" in warning
-
-    def test_env_var_overrides_cache_flag(self, tmp_path):
-        via_env = tmp_path / "env.json"
-        via_flag = tmp_path / "flag.json"
-        proc = run_cli("gen-ref", "--operator", "mean", "--seed", "5",
-                       "--cache", str(via_flag), *FAST,
-                       env_extra={"DIGIT_FORENSICS_CACHE": str(via_env)})
-        assert proc.returncode == 0
-        assert via_env.exists()
-        assert not via_flag.exists()
 
     def test_unknown_operator_exits_2(self):
         proc = run_cli("gen-ref", "--operator", "median", *FAST)
@@ -197,7 +183,16 @@ class TestScoreStats:
         ("mc_draws", "Infinity"),
         ("operator", '["mean"]'),
         ("entries_per_vector", "[20]"),
-    ], ids=["huge-floor", "infinite-draws", "list-operator", "list-entries"])
+        ("entries_per_vector", "20.7"),
+        ("entries_per_vector", "true"),
+        ("observed_len_bucket", "10.0"),
+        ("mc_draws", "-1"),
+        ("calibration_samples", "0"),
+        ("seed", "-5"),
+        ("calibration_floor", "0"),
+    ], ids=["huge-floor", "infinite-draws", "list-operator", "list-entries",
+            "fractional-entries", "bool-entries", "float-obs-len", "negative-draws",
+            "zero-samples", "negative-seed", "integer-floor"])
     def test_out_of_range_cache_entry_exits_2(self, report_dir, tmp_path, field, raw):
         entry = {"operator": "mean", "entries_per_vector": 20,
                  "observed_len_bucket": 10, "pmf": [float(p) for p in benford_pmf()],
@@ -212,6 +207,25 @@ class TestScoreStats:
                        "--cache", str(cache), *FAST)
         assert proc.returncode == 2
         assert f"{cache}: entry 0: invalid cache entry" in proc.stderr.decode()
+        assert b"Traceback" not in proc.stderr
+
+    def test_duplicate_cache_key_exits_2_naming_both_entries(self, report_dir, tmp_path):
+        entries = []
+        for floor in (0.897, 0.5):
+            entry = {"operator": "mean", "entries_per_vector": 10,
+                     "observed_len_bucket": 20,
+                     "pmf": [float(p) for p in benford_pmf()],
+                     "calibration_floor": floor, "mc_draws": 2000,
+                     "calibration_samples": 20, "seed": 1729}
+            entry["checksum"] = checksum(entry)
+            entries.append(entry)
+        cache = tmp_path / "twice.json"
+        cache.write_text(json.dumps({"version": CACHE_VERSION, "entries": entries}),
+                         encoding="utf-8")
+        proc = run_cli("score-stats", str(report_dir / "a.json"),
+                       "--cache", str(cache), *FAST)
+        assert proc.returncode == 2
+        assert proc.stderr.decode().startswith(f"error: {cache}: entries 0 and 1 ")
         assert b"Traceback" not in proc.stderr
 
 
@@ -379,6 +393,34 @@ class TestParser:
         code = ("import sys, digit_forensics.cli; "
                 "sys.exit(any(m.split('.')[0] == 'scipy' for m in sys.modules))")
         assert subprocess.run([sys.executable, "-c", code]).returncode == 0
+
+    @pytest.mark.parametrize("option,value,message", [
+        ("--seed", "-1", "argument --seed: expected a non-negative integer, got '-1'"),
+        ("--draws", "999", "argument --draws: expected an integer >= 1000, got '999'"),
+    ], ids=["seed", "draws"])
+    @pytest.mark.parametrize("cached", [False, True], ids=["no-cache", "filled-cache"])
+    def test_bad_knob_exits_2_naming_the_option(self, report_dir, tmp_path, cached,
+                                                option, value, message):
+        args = ["score-stats", str(report_dir / "a.json"), *FAST]
+        if cached:
+            cache = tmp_path / "refs.json"
+            args += ["--cache", str(cache)]
+            assert run_cli(*args).returncode == 0
+            assert cache.exists()
+        proc = run_cli(*args, option, value)
+        assert proc.returncode == 2
+        assert message in proc.stderr.decode()
+        assert b"Traceback" not in proc.stderr
+
+    def test_verbose_logs_exclusions(self, report_dir):
+        args = ["scan-corpus", str(report_dir), "--seed", "1729", *FAST]
+        quiet, loud, louder = run_cli(*args), run_cli(*args, "-v"), run_cli(*args, "-vv")
+        line = "INFO digit_forensics.harness: unscorable report src-thin: "
+        assert quiet.returncode == loud.returncode == louder.returncode == 0
+        assert line not in quiet.stderr.decode()
+        assert line in loud.stderr.decode()
+        assert louder.stderr == loud.stderr
+        assert quiet.stdout == loud.stdout == louder.stdout
 
     @pytest.mark.parametrize("command", ["gen-ref", "score-dataset",
                                          "score-stats", "validate",

@@ -325,6 +325,16 @@ class TestCalibrateFloor:
 
 
 class TestReferenceStore:
+    @pytest.mark.parametrize("kwargs,message", [
+        ({"seed": -1}, "seed must be non-negative"),
+        ({"mc_draws": 999}, "mc_draws must be >= 1000"),
+        ({"calibration_samples": 0}, "calibration_samples must be >= 1"),
+    ], ids=["seed", "draws", "calibration-samples"])
+    def test_rejects_invalid_knobs_before_any_lookup(self, tmp_path, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            ReferenceStore(**{"seed": 1, "cache": ReferenceCache(tmp_path / "c.json"),
+                              **kwargs})
+
     def test_get_returns_calibrated_reference(self, small_store):
         ref = small_store.get(OperatorKind.MEAN, entries_per_vector=1,
                               observed_len=10)

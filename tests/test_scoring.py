@@ -20,7 +20,6 @@ from digit_forensics import (
     ks_p_value,
     normalize_score,
     score_groups,
-    score_operator,
 )
 from digit_forensics.reference import ReferenceDistribution
 from digit_forensics.scoring import ks_tail
@@ -228,20 +227,35 @@ class TestNormalizeScore:
             normalize_score(0.5, floor)
 
 
+class OneRefStore:
+    """Serves one reference for every key and records each lookup."""
+
+    def __init__(self, ref):
+        self.ref = ref
+        self.calls = []
+
+    def get(self, op, entries_per_vector, observed_len):
+        self.calls.append((op, entries_per_vector, observed_len))
+        return self.ref
+
+
 class TestScoreOperator:
+    """One group through score_groups against a fixed reference."""
+
     def test_insufficient_data_reports_counts(self):
-        ref = make_ref()
-        outcome = score_operator([1.0, 2.0, 0.0, float("nan")],
-                                 OperatorKind.MEAN, ref, min_samples=5)
-        assert isinstance(outcome, InsufficientData)
-        assert outcome.usable == 2
-        assert outcome.required == 5
-        assert outcome.skipped == 2
+        store = OneRefStore(make_ref())
+        result = score_groups({"mean": [1.0, 2.0, 0.0, float("nan")],
+                               "std": [1.2, 2.3, 3.4, 4.5, 9.6]}, 1, store,
+                              min_samples=5)
+        assert result.insufficient == (
+            InsufficientData(OperatorKind.MEAN, usable=2, required=5, skipped=2),)
+        assert store.calls == [(OperatorKind.STD, 1, 5)]
 
     def test_outcome_fields(self):
         ref = make_ref(floor=0.5)
         values = [1.2, 2.3, 3.4, 4.5, 9.6, 1.7, 0.0]
-        outcome = score_operator(values, OperatorKind.MEAN, ref)
+        result = score_groups({"mean": values}, 1, OneRefStore(ref))
+        [outcome] = result.per_operator
         assert isinstance(outcome, TestOutcome)
         assert outcome.operator is OperatorKind.MEAN
         assert outcome.sample_count == 6
@@ -249,13 +263,12 @@ class TestScoreOperator:
         assert outcome.reference_key == ref.key
         assert 0.0 <= outcome.raw_score < 1.0
         assert outcome.normalized_score == normalize_score(outcome.raw_score, 0.5)
+        assert result.overall == outcome.normalized_score
 
     def test_deterministic(self):
-        ref = make_ref()
-        values = [1.2, 2.3, 3.4, 4.5, 9.6, 1.7]
-        a = score_operator(values, OperatorKind.MEAN, ref)
-        b = score_operator(values, OperatorKind.MEAN, ref)
-        assert a == b
+        store = OneRefStore(make_ref())
+        groups = {"mean": [1.2, 2.3, 3.4, 4.5, 9.6, 1.7]}
+        assert score_groups(groups, 1, store) == score_groups(groups, 1, store)
 
 
 class TestAggregate:
@@ -329,6 +342,26 @@ class TestScoreGroups:
                               small_store)
         assert [m.operator for m in result.insufficient] == [OperatorKind.STD]
         assert [t.operator for t in result.per_operator] == [OperatorKind.MEAN]
+
+    def test_min_samples_is_the_boundary(self):
+        store = OneRefStore(make_ref())
+        result = score_groups({"mean": [1.2, 2.3, 3.4, 4.5, 9.6, 0.0],
+                               "std": [1.1, 2.9, 3.8, 4.7, 0.0, float("inf")]},
+                              7, store, min_samples=5)
+        [scored] = result.per_operator
+        assert (scored.operator, scored.sample_count, scored.skipped) == (
+            OperatorKind.MEAN, 5, 1)
+        assert result.insufficient == (
+            InsufficientData(OperatorKind.STD, usable=4, required=5, skipped=2),)
+        assert store.calls == [(OperatorKind.MEAN, 7, 5)]
+
+    def test_thin_group_never_asks_the_store(self):
+        class NoStore:
+            def get(self, *args):
+                raise AssertionError("store.get called for a thin group")
+
+        with pytest.raises(NoUsableOutcomes, match="mean: 4 usable of 5"):
+            score_groups({"mean": [1.0, 2.0, 3.0, 4.0]}, 10, NoStore())
 
     def test_deterministic(self, small_store):
         groups = {"mean": [1.2, 2.3, 3.4, 4.5, 9.6, 1.7],
