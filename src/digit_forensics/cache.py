@@ -3,11 +3,10 @@
 One file holds every entry. Floats are serialized with Python's shortest
 round-trip repr, so a stored pmf reloads bit-exactly. Each entry carries
 a SHA-256 checksum over its canonical serialization (sorted keys, no
-whitespace, checksum field excluded). A parse checks each entry's checksum,
-then builds its reference from strictly typed fields; one bad entry, or two
-entries for one key, refuses the whole file. Writes go
-through an atomic replace, which keeps concurrent readers consistent;
-concurrent writers must be serialised by the caller.
+whitespace, checksum field excluded). A parse checks each entry's checksum
+and field types, then builds the reference, which checks the values; one
+bad entry, or two for one key, refuses the whole file. Writes go through an
+atomic replace, so readers stay consistent; the caller serialises writers.
 """
 from __future__ import annotations
 
@@ -19,7 +18,7 @@ from pathlib import Path
 
 from .errors import CacheMiss, CorruptCache
 from .operators import OperatorKind
-from .reference import MIN_DRAWS, SIZE_BUCKETS, ReferenceDistribution, ReferenceKey
+from .reference import ReferenceDistribution, ReferenceKey
 
 # Version 1 files hold floors calibrated with Monte-Carlo p-values; they
 # are refused rather than mixed with exact scores.
@@ -32,8 +31,8 @@ def entry_payload(ref: ReferenceDistribution) -> dict:
         "operator": ref.operator.value,
         "entries_per_vector": ref.entries_per_vector,
         "observed_len_bucket": ref.observed_len,
-        "pmf": list(ref.pmf),
-        "calibration_floor": ref.calibration_floor,
+        "pmf": [float(p) for p in ref.pmf],
+        "calibration_floor": float(ref.calibration_floor),
         "mc_draws": ref.mc_draws,
         "calibration_samples": ref.calibration_samples,
         "seed": ref.seed,
@@ -58,9 +57,7 @@ class ReferenceCache:
         self._raw: bytes | None = None
         self._refs: dict[ReferenceKey, ReferenceDistribution] = {}
 
-    def load(self, operator: OperatorKind, entries_per_vector: int,
-             observed_len_bucket: int) -> ReferenceDistribution:
-        key = ReferenceKey(operator.value, entries_per_vector, observed_len_bucket)
+    def load(self, key: ReferenceKey) -> ReferenceDistribution:
         ref = self._read().get(key)
         if ref is None:
             raise CacheMiss(f"no cached reference for {key}")
@@ -68,7 +65,7 @@ class ReferenceCache:
 
     def store(self, ref: ReferenceDistribution) -> None:
         refs = dict(self._read())
-        refs[ref.key] = ref
+        refs[ref.key] = _from_entry(entry_payload(ref))  # write only what loads again
         self._write(refs)
 
     def _read(self) -> dict[ReferenceKey, ReferenceDistribution]:
@@ -99,7 +96,7 @@ class ReferenceCache:
                 raise CorruptCache(f"{self.path}: entry {i} failed its checksum")
             try:
                 ref = _from_entry(entry)
-            except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            except (KeyError, TypeError, ValueError) as exc:
                 raise CorruptCache(
                     f"{self.path}: entry {i}: invalid cache entry "
                     f"({type(exc).__name__}: {exc})") from exc
@@ -126,26 +123,25 @@ class ReferenceCache:
             raise
 
 
-def _integer(entry: dict, name: str, lowest: int, buckets: tuple = ()) -> int:
-    """``entry[name]`` if it is an int, not a bool, >= ``lowest`` and in ``buckets``."""
-    value = entry[name]
-    if type(value) is not int or value < lowest or (buckets and value not in buckets):
-        rule = f"one of {buckets}" if buckets else f"an integer >= {lowest}"
-        raise ValueError(f"{name} must be {rule}, got {value!r}")
-    return value
+# The JSON type of each entry field; the record checks every value.
+_ENTRY_TYPES = {"operator": str, "entries_per_vector": int, "observed_len_bucket": int,
+                "pmf": list, "calibration_floor": float, "mc_draws": int,
+                "calibration_samples": int, "seed": int}
 
 
 def _from_entry(entry: dict) -> ReferenceDistribution:
-    floor = entry["calibration_floor"]
-    if type(floor) is not float:
-        raise TypeError(f"calibration_floor must be a float, got {floor!r}")
+    for name, kind in _ENTRY_TYPES.items():
+        if type(entry[name]) is not kind:  # exact, so no bool passes as an int
+            raise TypeError(f"{name} must be a JSON {kind.__name__}, got {entry[name]!r}")
+    if any(type(p) is not float for p in entry["pmf"]):
+        raise TypeError(f"pmf cells must be JSON floats, got {entry['pmf']!r}")
     return ReferenceDistribution(
         operator=OperatorKind(entry["operator"]),
-        entries_per_vector=_integer(entry, "entries_per_vector", 1, SIZE_BUCKETS),
-        pmf=tuple(float(p) for p in entry["pmf"]),
-        calibration_floor=floor,
-        observed_len=_integer(entry, "observed_len_bucket", 1, SIZE_BUCKETS),
-        mc_draws=_integer(entry, "mc_draws", MIN_DRAWS),
-        calibration_samples=_integer(entry, "calibration_samples", 1),
-        seed=_integer(entry, "seed", 0),
+        entries_per_vector=entry["entries_per_vector"],
+        pmf=tuple(entry["pmf"]),
+        calibration_floor=entry["calibration_floor"],
+        observed_len=entry["observed_len_bucket"],
+        mc_draws=entry["mc_draws"],
+        calibration_samples=entry["calibration_samples"],
+        seed=entry["seed"],
     )

@@ -44,17 +44,23 @@ EXIT_INSUFFICIENT = 5
 
 
 def _probability(text: str) -> float:
-    value = float(text)
-    if not 0.0 < value < 1.0:
-        raise argparse.ArgumentTypeError(f"expected a value in (0, 1), got {text!r}")
-    return value
+    try:
+        value = float(text)
+        if 0.0 < value < 1.0:
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected a value in (0, 1), got {text!r}")
 
 
 def _int_at_least(text: str, lowest: int, wanted: str) -> int:
-    value = int(text)
-    if value < lowest:
-        raise argparse.ArgumentTypeError(f"expected {wanted}, got {text!r}")
-    return value
+    try:
+        value = int(text)
+        if value >= lowest:
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected {wanted}, got {text!r}")
 
 
 def _positive_int(text: str) -> int:

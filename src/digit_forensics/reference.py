@@ -66,11 +66,17 @@ def size_bucket(n: int) -> int:
     return SIZE_BUCKETS[int(np.argmin(logs))]
 
 
-def _check_knobs(seed: int, mc_draws: int) -> None:
+def _check_knobs(seed: int, mc_draws: int, calibration_samples: int = 1, **sizes: int) -> None:
+    """Refuse a knob below its limit, or any named size that is not a bucket."""
     if mc_draws < MIN_DRAWS:
         raise ValueError(f"mc_draws must be >= {MIN_DRAWS}")
     if seed < 0:
         raise ValueError("seed must be non-negative")
+    if calibration_samples < 1:
+        raise ValueError("calibration_samples must be >= 1")
+    for name, size in sizes.items():
+        if size not in SIZE_BUCKETS:
+            raise ValueError(f"{name} must be one of {SIZE_BUCKETS}, got {size!r}")
 
 
 class ReferenceKey(NamedTuple):
@@ -110,7 +116,7 @@ class ReferenceDistribution:
 
     ``calibration_floor`` is the worst raw score among ``calibration_samples``
     conforming samples of ``observed_len`` digits; ``mc_draws`` and ``seed``
-    are the knobs the pmf was built under.
+    are the knobs the pmf was built under. Every value rule is checked here.
     """
 
     operator: OperatorKind
@@ -126,6 +132,8 @@ class ReferenceDistribution:
         check_pmf(self.pmf)
         if not 0.0 <= self.calibration_floor < 1.0:
             raise ValueError(f"calibration floor {self.calibration_floor!r} outside [0, 1)")
+        _check_knobs(self.seed, self.mc_draws, self.calibration_samples,
+                     entries_per_vector=self.entries_per_vector, observed_len=self.observed_len)
 
     @property
     def key(self) -> ReferenceKey:
@@ -227,15 +235,13 @@ def calibrate_floor(law: GeneratedLaw, cfg: SynthesisConfig, observed_len: int,
     """Calibrate ``law`` for samples of ``observed_len`` digits.
 
     Draws ``null_samples`` conforming observation sets from the law's pmf
-    and records the worst raw score (1 - p) among them as the floor. The
-    raw score rises with the KS distance, so that is 1 - p at the largest
-    distance drawn. The sets are drawn in blocks, so memory stays bounded
-    at any ``null_samples``. Same seed, same floor, exactly.
+    and records the worst raw score (1 - p) among them as the floor: the
+    raw score rises with the KS distance, so 1 - p at the widest distance.
+    Sets are drawn in blocks, so memory stays bounded at any ``null_samples``;
+    a size off the buckets is refused first. Same seed, same floor, exactly.
     """
-    if observed_len < 1:
-        raise ValueError("observed_len must be >= 1")
-    if null_samples < 1:
-        raise ValueError("null_samples must be >= 1")
+    _check_knobs(cfg.seed, cfg.mc_draws, null_samples,
+                 entries_per_vector=law.entries_per_vector, observed_len=observed_len)
     gen = rngmod.substream(cfg.seed, rngmod.STREAM_CALIBRATE, operator_index(law.operator),
                            law.entries_per_vector, observed_len)
     pmf = np.asarray(law.pmf)
@@ -272,9 +278,7 @@ class ReferenceStore:
 
     def __init__(self, *, seed: int, cache=None, mc_draws: int = DEFAULT_DRAWS,
                  calibration_samples: int = DEFAULT_CALIBRATION_SAMPLES):
-        _check_knobs(seed, mc_draws)
-        if calibration_samples < 1:
-            raise ValueError("calibration_samples must be >= 1")
+        _check_knobs(seed, mc_draws, calibration_samples)
         self.seed = seed
         self.cache = cache
         self.mc_draws = mc_draws
@@ -291,8 +295,7 @@ class ReferenceStore:
             return hit
         if self.cache is not None:
             try:
-                ref = self.cache.load(op, key.entries_per_vector,
-                                      key.observed_len_bucket)
+                ref = self.cache.load(key)
             except CacheMiss:
                 pass
             else:

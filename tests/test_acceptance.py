@@ -191,7 +191,7 @@ def test_criterion_8_cli_byte_determinism(capsys, tmp_path):
     }
     identical = True
     for name, args in commands.items():
-        runs = [subprocess.run([sys.executable, "-m", "digit_forensics",
+        runs = [subprocess.run([sys.executable, "-W", "error", "-m", "digit_forensics",
                                 *args], capture_output=True)
                 for _ in range(2)]
         assert all(r.returncode == 0 for r in runs), runs[0].stderr.decode()

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -9,11 +10,13 @@ from digit_forensics import (
     CorruptCache,
     OperatorKind,
     ReferenceCache,
+    ReferenceKey,
     ReferenceStore,
     SynthesisConfig,
     calibrate_floor,
     generate_reference,
 )
+from digit_forensics import cache as cache_module
 from digit_forensics.cache import CACHE_VERSION, checksum, entry_payload
 
 
@@ -50,7 +53,7 @@ class TestCacheRoundTrip:
     def test_store_then_load_is_lossless(self, tmp_path, calibrated_ref):
         cache = ReferenceCache(tmp_path / "c.json")
         cache.store(calibrated_ref)
-        loaded = cache.load(OperatorKind.MEAN, 1, 10)
+        loaded = cache.load(ReferenceKey("mean", 1, 10))
         assert loaded == calibrated_ref
         assert loaded.pmf == calibrated_ref.pmf  # bit-exact floats
 
@@ -61,8 +64,8 @@ class TestCacheRoundTrip:
         cache.store(second_ref)
         doc = json.loads((tmp_path / "c.json").read_text())
         assert len(doc["entries"]) == 2
-        assert cache.load(OperatorKind.MEAN, 1, 10) == calibrated_ref
-        assert cache.load(OperatorKind.STD, 2, 20) == second_ref
+        assert cache.load(ReferenceKey("mean", 1, 10)) == calibrated_ref
+        assert cache.load(ReferenceKey("std", 2, 20)) == second_ref
 
     def test_restore_overwrites_same_key(self, tmp_path, calibrated_ref):
         cache = ReferenceCache(tmp_path / "c.json")
@@ -71,16 +74,33 @@ class TestCacheRoundTrip:
         doc = json.loads((tmp_path / "c.json").read_text())
         assert len(doc["entries"]) == 1
 
+    def test_integer_valued_record_round_trips(self, tmp_path, calibrated_ref):
+        # a record the cache can store, it must load again
+        ref = dataclasses.replace(calibrated_ref, pmf=(1,) + (0,) * 8, calibration_floor=0)
+        cache = ReferenceCache(tmp_path / "c.json")
+        cache.store(ref)
+        assert ReferenceCache(cache.path).load(ref.key) == ref
+
+    @pytest.mark.parametrize("field,value", [("seed", 1.5), ("mc_draws", 1000.0)])
+    def test_record_no_reader_could_load_is_not_written(self, tmp_path, calibrated_ref,
+                                                        second_ref, field, value):
+        path = tmp_path / "c.json"
+        ReferenceCache(path).store(second_ref)
+        before = path.read_bytes()
+        with pytest.raises(TypeError, match=f"{field} must be a JSON int"):
+            ReferenceCache(path).store(dataclasses.replace(calibrated_ref, **{field: value}))
+        assert path.read_bytes() == before
+
     def test_miss_on_absent_key(self, tmp_path, calibrated_ref):
         cache = ReferenceCache(tmp_path / "c.json")
         cache.store(calibrated_ref)
         with pytest.raises(CacheMiss):
-            cache.load(OperatorKind.STD, 1, 10)
+            cache.load(ReferenceKey("std", 1, 10))
 
     def test_miss_on_absent_file(self, tmp_path):
         cache = ReferenceCache(tmp_path / "nowhere.json")
         with pytest.raises(CacheMiss):
-            cache.load(OperatorKind.MEAN, 1, 10)
+            cache.load(ReferenceKey("mean", 1, 10))
 
 
 class TestCorruption:
@@ -91,13 +111,24 @@ class TestCorruption:
         text = path.read_text()
         path.write_text(text[: len(text) // 2])
         with pytest.raises(CorruptCache):
-            cache.load(OperatorKind.MEAN, 1, 10)
+            cache.load(ReferenceKey("mean", 1, 10))
 
     def test_unsupported_version(self, tmp_path):
         path = tmp_path / "c.json"
         path.write_text(json.dumps({"version": 99, "entries": []}))
         with pytest.raises(CorruptCache):
-            ReferenceCache(path).load(OperatorKind.MEAN, 1, 10)
+            ReferenceCache(path).load(ReferenceKey("mean", 1, 10))
+
+    @pytest.mark.parametrize("doc,message", [
+        ({"entries": []}, "missing version"),
+        ({"version": CACHE_VERSION, "entries": {}}, "entries must be a list"),
+    ], ids=["no-version", "entries-not-a-list"])
+    def test_malformed_document(self, tmp_path, doc, message):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(CorruptCache) as refused:
+            ReferenceCache(path).load(ReferenceKey("mean", 1, 10))
+        assert str(refused.value) == f"{path}: {message}"
 
     def test_tampered_entry_fails_checksum(self, tmp_path, calibrated_ref):
         path = tmp_path / "c.json"
@@ -107,7 +138,7 @@ class TestCorruption:
         doc["entries"][0]["calibration_floor"] = 0.111111
         path.write_text(json.dumps(doc))
         with pytest.raises(CorruptCache):
-            cache.load(OperatorKind.MEAN, 1, 10)
+            cache.load(ReferenceKey("mean", 1, 10))
 
     def test_missing_field(self, tmp_path, calibrated_ref):
         path = tmp_path / "c.json"
@@ -117,7 +148,7 @@ class TestCorruption:
         del doc["entries"][0]["seed"]
         path.write_text(json.dumps(doc))
         with pytest.raises(CorruptCache):
-            cache.load(OperatorKind.MEAN, 1, 10)
+            cache.load(ReferenceKey("mean", 1, 10))
 
     def test_duplicate_key_names_both_entries(self, tmp_path, calibrated_ref):
         first = entry_payload(calibrated_ref)
@@ -126,7 +157,7 @@ class TestCorruption:
         path = tmp_path / "c.json"
         path.write_text(json.dumps({"version": CACHE_VERSION, "entries": [first, second]}))
         with pytest.raises(CorruptCache, match="entries 0 and 1 both hold"):
-            ReferenceCache(path).load(OperatorKind.MEAN, 1, 10)
+            ReferenceCache(path).load(ReferenceKey("mean", 1, 10))
 
     def test_type_broken_entry_with_valid_checksum(self, tmp_path):
         entry = {
@@ -139,7 +170,7 @@ class TestCorruption:
         path = tmp_path / "c.json"
         path.write_text(json.dumps({"version": CACHE_VERSION, "entries": [entry]}))
         with pytest.raises(CorruptCache):
-            ReferenceCache(path).load(OperatorKind.MEAN, 1, 10)
+            ReferenceCache(path).load(ReferenceKey("mean", 1, 10))
 
 
 ENTRY_FIELDS = ("operator", "entries_per_vector", "observed_len_bucket", "pmf",
@@ -172,16 +203,32 @@ class TestHostileEntry:
         store = ReferenceStore(seed=11, cache=ReferenceCache(path), mc_draws=1000,
                                calibration_samples=5)
         if type(value) is int and value >= LOWEST_COUNT.get(field, math.inf):
-            assert ReferenceCache(path).load(OperatorKind.MEAN, 1, 10) == calibrated_ref
+            assert ReferenceCache(path).load(ReferenceKey("mean", 1, 10)) == calibrated_ref
             store.get(OperatorKind.MEAN, 5, 20)  # not in the file
-            assert ReferenceCache(path).load(OperatorKind.MEAN, 1, 10) == calibrated_ref
+            assert ReferenceCache(path).load(ReferenceKey("mean", 1, 10)) == calibrated_ref
             return
         with pytest.raises(CorruptCache) as refused:
-            ReferenceCache(path).load(OperatorKind.MEAN, 1, 10)
+            ReferenceCache(path).load(ReferenceKey("mean", 1, 10))
         assert str(refused.value).startswith(f"{path}: entry 0: invalid cache entry")
         with pytest.raises(CorruptCache):
             store.get(OperatorKind.MEAN, 5, 20)
         assert path.read_bytes() == before
+
+
+    @pytest.mark.parametrize("cells", [
+        [repr(p) for p in (0.5, 0.25, 0.125, 0.0625, 0.03125, 0.015625, 0.0078125,
+                           0.00390625, 0.00390625)],
+        [True] + [False] * 8,
+        [1] + [0] * 8,
+    ], ids=["strings", "bools", "integers"])
+    def test_pmf_cells_must_be_json_floats(self, tmp_path, calibrated_ref, cells):
+        bad = dict(entry_payload(calibrated_ref), pmf=cells)
+        bad["checksum"] = checksum(bad)
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"version": CACHE_VERSION, "entries": [bad]}))
+        with pytest.raises(CorruptCache, match="pmf cells must be JSON floats") as refused:
+            ReferenceCache(path).load(ReferenceKey("mean", 1, 10))
+        assert str(refused.value).startswith(f"{path}: entry 0: invalid cache entry")
 
 
 class TestParseMemo:
@@ -189,29 +236,29 @@ class TestParseMemo:
         path = tmp_path / "c.json"
         cache = ReferenceCache(path)
         cache.store(calibrated_ref)
-        assert cache.load(OperatorKind.MEAN, 1, 10) == calibrated_ref
+        assert cache.load(ReferenceKey("mean", 1, 10)) == calibrated_ref
         before = os.stat(path)
         ReferenceCache(path).store(second_ref)  # another writer
         os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))
-        assert cache.load(OperatorKind.STD, 2, 20) == second_ref
+        assert cache.load(ReferenceKey("std", 2, 20)) == second_ref
 
     def test_byte_corrupted_after_first_load(self, tmp_path, calibrated_ref):
         path = tmp_path / "c.json"
         cache = ReferenceCache(path)
         cache.store(calibrated_ref)
-        assert cache.load(OperatorKind.MEAN, 1, 10) == calibrated_ref
+        assert cache.load(ReferenceKey("mean", 1, 10)) == calibrated_ref
         raw = bytearray(path.read_bytes())
         at = raw.index(b'"seed": ') + len(b'"seed": ')
         raw[at] = ord("9") if raw[at] != ord("9") else ord("8")
         path.write_bytes(bytes(raw))
         with pytest.raises(CorruptCache, match="checksum"):
-            cache.load(OperatorKind.MEAN, 1, 10)
+            cache.load(ReferenceKey("mean", 1, 10))
 
     def test_failed_store_leaves_loaded_entries(self, tmp_path, calibrated_ref,
                                                 second_ref, monkeypatch):
         cache = ReferenceCache(tmp_path / "c.json")
         cache.store(calibrated_ref)
-        cache.load(OperatorKind.MEAN, 1, 10)
+        cache.load(ReferenceKey("mean", 1, 10))
 
         def fail(entries):
             raise OSError("disk full")
@@ -220,4 +267,21 @@ class TestParseMemo:
         with pytest.raises(OSError):
             cache.store(second_ref)
         with pytest.raises(CacheMiss):
-            cache.load(OperatorKind.STD, 2, 20)
+            cache.load(ReferenceKey("std", 2, 20))
+
+    def test_failed_serialisation_leaves_the_old_file(self, tmp_path, calibrated_ref,
+                                                     second_ref, monkeypatch):
+        path = tmp_path / "c.json"
+        cache = ReferenceCache(path)
+        cache.store(calibrated_ref)
+        before = path.read_bytes()
+
+        def fail_midway(doc, fh, **kwargs):
+            fh.write('{"version": ')
+            raise TypeError("not serialisable")
+
+        monkeypatch.setattr(cache_module.json, "dump", fail_midway)
+        with pytest.raises(TypeError, match="not serialisable"):
+            cache.store(second_ref)
+        assert path.read_bytes() == before
+        assert list(tmp_path.glob("*.tmp")) == []

@@ -7,16 +7,29 @@ import sys
 import numpy as np
 import pytest
 
-from digit_forensics import benford_pmf
+from digit_forensics import (
+    OperatorKind,
+    ReferenceCache,
+    SynthesisConfig,
+    benford_pmf,
+    calibrate_floor,
+    generate_reference,
+)
 from digit_forensics.cache import CACHE_VERSION, checksum
 from digit_forensics.cli import build_parser
-from digit_forensics.harness import DEFAULT_REPORT_ENTRIES, scan_corpus
+from digit_forensics.harness import (
+    DEFAULT_REPORT_ENTRIES,
+    LABEL_CLEAN,
+    LABEL_MANIPULATED,
+    scan_corpus,
+)
 
 FAST = ["--draws", "2000", "--calibration-samples", "20"]
 
 
 def run_cli(*args):
-    return subprocess.run([sys.executable, "-m", "digit_forensics", *args],
+    # -W error: a warning in the child fails its run, as in the pytest process
+    return subprocess.run([sys.executable, "-W", "error", "-m", "digit_forensics", *args],
                           capture_output=True)
 
 
@@ -49,6 +62,21 @@ def csv_path(tmp_path):
     path = tmp_path / "table.csv"
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return path
+
+
+@pytest.fixture()
+def datasets_dir(tmp_path):
+    """Three scorable tables and one too narrow for any group to score."""
+    gen = np.random.default_rng(505)
+    folder = tmp_path / "datasets"
+    folder.mkdir()
+    for name, shape in [("d1", (30, 6)), ("d2", (30, 6)), ("d3", (30, 6)),
+                        ("narrow", (3, 2))]:
+        data = 10.0 ** gen.uniform(-1.0, 2.0, size=shape)
+        lines = [",".join(f"x{j}" for j in range(shape[1]))]
+        lines += [",".join(repr(float(v)) for v in row) for row in data]
+        (folder / f"{name}.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return folder
 
 
 class TestGenRef:
@@ -135,6 +163,25 @@ class TestScoreStats:
         assert "flagged" not in doc
         assert 0.0 <= doc["overall"] <= 1.0
 
+    def test_text_format_lists_thin_groups(self, tmp_path):
+        path = tmp_path / "mixed.json"
+        path.write_text(json.dumps({"source_id": "mixed", "groups": {
+            "mean": [1.2, 2.3, 1.7, 3.1, 9.4, 1.05, 4.2, 5.9], "std": [1.5, 2.5]}}))
+        args = ("score-stats", str(path), "--n", "10", "--flag-level", "0.99", *FAST)
+        doc = out_json(run_cli(*args))
+        proc = run_cli(*args, "--format", "text")
+        assert proc.returncode == (4 if doc["flagged"] else 0)
+        [row] = doc["per_operator"]
+        assert proc.stdout.decode().splitlines() == [
+            "source: mixed",
+            "operator        raw normalized  samples  skipped",
+            f"mean       {row['raw_score']:>8.4f} {row['normalized_score']:>10.4f}"
+            "        8        0",
+            "insufficient: std (usable 2 < required 5)",
+            f"overall: {doc['overall']:.4f}",
+            f"flagged at 0.99: {'yes' if doc['flagged'] else 'no'}",
+        ]
+
     def test_invalid_flag_level_exits_2(self, report_dir):
         proc = run_cli("score-stats", str(report_dir / "a.json"),
                        "--flag-level", "1.5", *FAST)
@@ -208,6 +255,22 @@ class TestScoreStats:
         assert proc.returncode == 2
         assert f"{cache}: entry 0: invalid cache entry" in proc.stderr.decode()
         assert b"Traceback" not in proc.stderr
+
+    def test_off_bucket_reference_never_reaches_the_cache(self, report_dir, tmp_path):
+        cache = tmp_path / "refs.json"
+        args = ("score-stats", str(report_dir / "a.json"), "--cache", str(cache), *FAST)
+        first = run_cli(*args)
+        assert first.returncode == 0
+        before = cache.read_bytes()
+        cfg = SynthesisConfig(entries_per_vector=7, seed=1729, mc_draws=2000)
+        law = generate_reference(OperatorKind.MEAN, cfg)
+        with pytest.raises(ValueError, match="entries_per_vector must be one of"):
+            ReferenceCache(cache).store(calibrate_floor(law, cfg, observed_len=20,
+                                                        null_samples=20))
+        assert cache.read_bytes() == before
+        again = run_cli(*args)
+        assert again.returncode == 0, again.stderr.decode()
+        assert again.stdout == first.stdout
 
     def test_duplicate_cache_key_exits_2_naming_both_entries(self, report_dir, tmp_path):
         entries = []
@@ -327,6 +390,32 @@ class TestValidate:
         assert out.read_bytes() == proc.stdout
         assert run_cli(*args).stdout == proc.stdout
 
+    def test_datasets_dir_as_json_and_text(self, datasets_dir):
+        args = ("validate", "--datasets-dir", str(datasets_dir), "--seed", "11",
+                *self.FAST_VALIDATE)
+        proc = run_cli(*args)
+        assert proc.returncode == 0, proc.stderr.decode()
+        doc = out_json(proc)
+        assert sum(doc["confusion"].values()) + len(doc["excluded"]) == 4
+        assert [row["name"] for row in doc["per_dataset"]] == ["d1", "d2", "d3"]
+        assert [row["name"] for row in doc["excluded"]] == ["narrow"]
+        proc = run_cli(*args, "--format", "text")
+        assert proc.returncode == 0
+        lines = proc.stdout.decode().splitlines()
+        confusion, [excluded] = doc["confusion"], doc["excluded"]
+        assert lines[0].split() == ["pred.", LABEL_CLEAN, "pred.", LABEL_MANIPULATED]
+        assert lines[1].split() == ["true", LABEL_CLEAN,
+                                    str(confusion["tp"]), str(confusion["fn"])]
+        assert lines[2].split() == ["true", LABEL_MANIPULATED,
+                                    str(confusion["fp"]), str(confusion["tn"])]
+        assert lines[3:] == [
+            f"accuracy: {doc['accuracy']:.4f}",
+            f"F1 {LABEL_CLEAN}: {doc['f1'][LABEL_CLEAN]:.4f}",
+            f"F1 {LABEL_MANIPULATED}: {doc['f1'][LABEL_MANIPULATED]:.4f}",
+            f"decision threshold: {doc['decision_threshold']}",
+            f"excluded: narrow ({excluded['reason']})",
+        ]
+
     def test_odd_corpus_exits_2(self):
         proc = run_cli("validate", "--synthetic", "3", *self.FAST_VALIDATE)
         assert proc.returncode == 2
@@ -359,6 +448,19 @@ class TestScanCorpus:
         assert counts == sorted(counts, reverse=True)
         assert out.read_bytes() == proc.stdout
         assert run_cli(*args).stdout == proc.stdout
+
+    def test_text_format_lists_flags_and_unscorable(self, report_dir):
+        args = ("scan-corpus", str(report_dir), "--seed", "1729", "--n", "10",
+                "--levels", "0.5", "0.9", *FAST)
+        doc = out_json(run_cli(*args))
+        proc = run_cli(*args, "--format", "text")
+        assert proc.returncode == 0
+        assert proc.stdout.decode().splitlines() == [
+            " level  flagged  ids",
+            *(f"{row['confidence_level']:>6.2f} {row['flagged_count']:>8}  "
+              + ", ".join(row["flagged_ids"]) for row in doc["rows"]),
+            "unscorable: src-thin",
+        ]
 
     def test_malformed_report_exits_2(self, tmp_path):
         reports = tmp_path / "reports"
@@ -397,7 +499,11 @@ class TestParser:
     @pytest.mark.parametrize("option,value,message", [
         ("--seed", "-1", "argument --seed: expected a non-negative integer, got '-1'"),
         ("--draws", "999", "argument --draws: expected an integer >= 1000, got '999'"),
-    ], ids=["seed", "draws"])
+        ("--seed", "x", "argument --seed: expected a non-negative integer, got 'x'"),
+        ("--n", "x", "argument --n: expected a positive integer, got 'x'"),
+        ("--draws", "1.5", "argument --draws: expected an integer >= 1000, got '1.5'"),
+        ("--flag-level", "x", "argument --flag-level: expected a value in (0, 1), got 'x'"),
+    ], ids=["seed", "draws", "text-seed", "text-n", "fractional-draws", "text-flag-level"])
     @pytest.mark.parametrize("cached", [False, True], ids=["no-cache", "filled-cache"])
     def test_bad_knob_exits_2_naming_the_option(self, report_dir, tmp_path, cached,
                                                 option, value, message):

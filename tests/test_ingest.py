@@ -51,6 +51,11 @@ class TestLoadCsv:
         with pytest.raises(MalformedCsv, match="empty"):
             load_csv(path)
 
+    def test_empty_first_line(self, tmp_path):
+        path = write_csv(tmp_path, "\n1,2\n3,4\n")
+        with pytest.raises(MalformedCsv, match="line 1: no fields"):
+            load_csv(path)
+
     def test_ragged_row_names_line(self, tmp_path):
         path = write_csv(tmp_path, "a,b\n1,2\n3\n")
         with pytest.raises(MalformedCsv, match="line 3"):

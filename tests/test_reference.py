@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import logging
 import sys
@@ -289,6 +290,21 @@ class TestCalibrateFloor:
         with pytest.raises(ValueError):
             calibrate_floor(ref, cfg, observed_len=10, null_samples=0)
 
+    @pytest.mark.parametrize("n,observed_len,field", [
+        (7, 10, "entries_per_vector"), (1, 12, "observed_len")])
+    def test_refuses_sizes_off_the_buckets_before_drawing(self, monkeypatch, n,
+                                                          observed_len, field):
+        # a record at such a size could be stored but never loaded again
+        cfg = SynthesisConfig(entries_per_vector=n, seed=7, mc_draws=1_000)
+        law = generate_reference(OperatorKind.MEAN, cfg)
+
+        def no_draw(*args):
+            raise AssertionError("drew before refusing")
+
+        monkeypatch.setattr(reference.rngmod, "substream", no_draw)
+        with pytest.raises(ValueError, match=f"{field} must be one of"):
+            calibrate_floor(law, cfg, observed_len=observed_len, null_samples=5)
+
     @pytest.mark.parametrize("observed_len", [5, 20, 200, 1000])
     def test_blocks_give_the_one_batch_floor(self, mean_ref, observed_len, monkeypatch):
         # Row blocks of one multinomial stream are the rows of one batch, so
@@ -322,6 +338,22 @@ class TestCalibrateFloor:
         finally:
             tracemalloc.stop()
         assert peak < 96 * 2 ** 20
+
+
+class TestReferenceDistribution:
+    @pytest.mark.parametrize("field,value,message", [
+        ("entries_per_vector", 7, "entries_per_vector must be one of"),
+        ("observed_len", 12, "observed_len must be one of"),
+        ("seed", -1, "seed must be non-negative"),
+        ("mc_draws", 999, "mc_draws must be >= 1000"),
+        ("calibration_samples", 0, "calibration_samples must be >= 1"),
+    ], ids=["entries", "observed-len", "seed", "draws", "calibration-samples"])
+    def test_refuses_every_value_a_cache_entry_refuses(self, mean_ref, field, value,
+                                                       message):
+        law, cfg = mean_ref
+        ref = calibrate_floor(law, cfg, observed_len=10, null_samples=5)
+        with pytest.raises(ValueError, match=message):
+            dataclasses.replace(ref, **{field: value})
 
 
 class TestReferenceStore:
