@@ -43,14 +43,22 @@ EXIT_FLAGGED = 4
 EXIT_INSUFFICIENT = 5
 
 
-def _probability(text: str) -> float:
+def _float_in(text: str, inside, wanted: str) -> float:
     try:
         value = float(text)
-        if 0.0 < value < 1.0:
+        if inside(value):
             return value
     except ValueError:
         pass
-    raise argparse.ArgumentTypeError(f"expected a value in (0, 1), got {text!r}")
+    raise argparse.ArgumentTypeError(f"expected {wanted}, got {text!r}")
+
+
+def _probability(text: str) -> float:
+    return _float_in(text, lambda v: 0.0 < v < 1.0, "a value in (0, 1)")
+
+
+def _fraction(text: str) -> float:
+    return _float_in(text, lambda v: 0.0 <= v < 1.0, "a value in [0, 1)")
 
 
 def _int_at_least(text: str, lowest: int, wanted: str) -> int:
@@ -229,6 +237,8 @@ def _cmd_score_stats(args: argparse.Namespace) -> int:
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
+    if args.noise_min > args.noise_max:
+        raise ValueError(f"--noise-min {args.noise_min} is above --noise-max {args.noise_max}")
     if args.synthetic is not None:
         datasets = synthetic_corpus(args.synthetic, seed=args.seed)
     else:
@@ -326,9 +336,9 @@ def build_parser() -> argparse.ArgumentParser:
                         help="directory of CSV datasets")
     source.add_argument("--synthetic", type=_positive_int, metavar="N",
                         help="use N generated conforming datasets instead")
-    p.add_argument("--noise-min", type=float, default=0.01,
+    p.add_argument("--noise-min", type=_fraction, default=NoiseSpec.min_fraction,
                    help="smallest relative perturbation (default %(default)s)")
-    p.add_argument("--noise-max", type=float, default=0.10,
+    p.add_argument("--noise-max", type=_fraction, default=NoiseSpec.max_fraction,
                    help="largest relative perturbation (default %(default)s)")
     p.add_argument("--threshold", type=_probability, default=DEFAULT_THRESHOLD,
                    help="decision threshold on the overall score (default %(default)s)")

@@ -208,13 +208,8 @@ def run_validation(datasets: Sequence[DatasetMatrix], spec: NoiseSpec, *,
                             excluded=tuple(sorted(excluded)))
 
 
-def build_flag_table(scores: Mapping[str, float], levels: Sequence[float],
-                     unscorable: Iterable[str] = ()) -> FlagTable:
-    """Tabulate flag counts per confidence level.
-
-    Levels must be strictly increasing inside (0, 1); counts are then
-    non-increasing by construction.
-    """
+def _check_levels(levels: Sequence[float]) -> tuple[float, ...]:
+    """The levels as floats; refused unless non-empty, inside (0, 1) and strictly increasing."""
     levels = tuple(float(level) for level in levels)
     if not levels:
         raise ValueError("need at least one confidence level")
@@ -222,8 +217,18 @@ def build_flag_table(scores: Mapping[str, float], levels: Sequence[float],
         raise ValueError(f"levels must lie strictly inside (0, 1): {levels}")
     if any(b <= a for a, b in zip(levels, levels[1:])):
         raise ValueError(f"levels must be strictly increasing: {levels}")
+    return levels
+
+
+def build_flag_table(scores: Mapping[str, float], levels: Sequence[float],
+                     unscorable: Iterable[str] = ()) -> FlagTable:
+    """Tabulate flag counts per confidence level.
+
+    Levels must be strictly increasing inside (0, 1); counts are then
+    non-increasing by construction.
+    """
     rows = []
-    for level in levels:
+    for level in _check_levels(levels):
         ids = tuple(sorted(sid for sid, s in scores.items() if flag(s, level)))
         rows.append(FlagRow(confidence_level=level, flagged_count=len(ids),
                             flagged_ids=ids))
@@ -239,8 +244,9 @@ def scan_corpus(reports: Sequence[ReportedStats], *, store: ReferenceStore,
     Reports whose groups are all too thin to score are listed as
     unscorable and never flagged. ``entries_per_vector`` is the assumed
     sample size behind each reported statistic (reports do not carry
-    one).
+    one). The levels are checked before any report is scored.
     """
+    levels = _check_levels(levels)
     ordered = sorted(reports, key=lambda r: r.source_id)
     for a, b in zip(ordered, ordered[1:]):
         if a.source_id == b.source_id:

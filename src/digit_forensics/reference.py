@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import logging
 import math
-import threading
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -163,27 +162,22 @@ def _operator_outputs(op: OperatorKind, drawn: list) -> np.ndarray:
     return row_moments(x).slope(row_moments(_conform(*drawn[1])))
 
 
-def _count_digits(op: OperatorKind, drawn: list, out: list) -> None:
-    """Append the digit counts and skips of one drawn chunk to ``out``.
+def _count_digits(op: OperatorKind, drawn: list) -> tuple[np.ndarray, int]:
+    """Digit counts and skips of one drawn chunk.
 
     Rows are conformed and reduced in sub-blocks of about _SUB_CELLS cells;
-    each row's output depends on that row alone. Runs on the worker thread,
-    so an exception is appended in place of the result, for the caller to
-    raise; every chunk thus leaves exactly one entry.
+    each row's output depends on that row alone.
     """
-    try:
-        rows, entries = drawn[0][1].shape
-        step = max(1, _SUB_CELLS // (entries * len(drawn)))
-        counts = np.zeros(10, dtype=np.int64)
-        skipped = 0
-        for lo in range(0, rows, step):
-            part = [(c[lo:lo + step], u[lo:lo + step]) for c, u in drawn]
-            digits, miss = extract_digits(_operator_outputs(op, part))
-            counts += np.bincount(digits, minlength=10)
-            skipped += miss
-        out.append((counts[1:], skipped))
-    except BaseException as exc:
-        out.append(exc)
+    rows, entries = drawn[0][1].shape
+    step = max(1, _SUB_CELLS // (entries * len(drawn)))
+    counts = np.zeros(10, dtype=np.int64)
+    skipped = 0
+    for lo in range(0, rows, step):
+        part = [(c[lo:lo + step], u[lo:lo + step]) for c, u in drawn]
+        digits, miss = extract_digits(_operator_outputs(op, part))
+        counts += np.bincount(digits, minlength=10)
+        skipped += miss
+    return counts[1:], skipped
 
 
 def generate_reference(op: OperatorKind, cfg: SynthesisConfig) -> GeneratedLaw:
@@ -194,32 +188,28 @@ def generate_reference(op: OperatorKind, cfg: SynthesisConfig) -> GeneratedLaw:
     of draws produce nothing.
 
     The caller's thread draws the chunks in stream order while one worker
-    thread turns the previous chunk into digit counts, so at most two
-    chunks are alive at once. Counts are integer sums, so the law does not
-    depend on the timing.
+    thread counts the previous chunk's digits; the caller then hands over
+    the new chunk and drops it, so at most two chunks are alive at once.
+    Counts are integer sums, so the law does not depend on the timing.
     """
+    # imported here: one-off CLI calls that build no reference skip its import
+    from concurrent.futures import ThreadPoolExecutor
+
     gen = rngmod.substream(cfg.seed, rngmod.STREAM_GENERATE, operator_index(op),
                            cfg.entries_per_vector)
     matrices = 2 if op is OperatorKind.OLS_SLOPE else 1
     chunk = max(1, _CHUNK_CELLS // (cfg.entries_per_vector * matrices))
-    results: list = []
-    worker = None
-    try:
+    results = []
+    with ThreadPoolExecutor(max_workers=1) as worker:
+        future = None
         for done in range(0, cfg.mc_draws, chunk):
             take = min(chunk, cfg.mc_draws - done)
             drawn = [_draw(gen, take, cfg.entries_per_vector) for _ in range(matrices)]
-            if worker is not None:
-                worker.join()
-                if isinstance(results[-1], BaseException):
-                    break
-            worker = threading.Thread(target=_count_digits, args=(op, drawn, results))
-            worker.start()
-    finally:
-        if worker is not None:
-            worker.join()
-    for result in results:
-        if isinstance(result, BaseException):
-            raise result
+            if future is not None:
+                results.append(future.result())
+            future = worker.submit(_count_digits, op, drawn)
+            del drawn
+        results.append(future.result())
     counts = sum(c for c, _ in results)
     skipped = sum(s for _, s in results)
     if skipped > MAX_SKIP_FRACTION * cfg.mc_draws:

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from digit_forensics import (
+    NoiseSpec,
     OperatorKind,
     ReferenceCache,
     SynthesisConfig,
@@ -491,10 +492,32 @@ class TestParser:
         assert build_parser().parse_args(argv).n == default == DEFAULT_REPORT_ENTRIES
 
     def test_import_loads_no_scipy(self):
-        # start-up time dominates one-off CLI calls; scoring needs numpy only
+        # start-up time dominates one-off CLI calls; scoring needs numpy only,
+        # and only reference generation needs concurrent.futures
         code = ("import sys, digit_forensics.cli; "
-                "sys.exit(any(m.split('.')[0] == 'scipy' for m in sys.modules))")
+                "sys.exit(any(m.split('.')[0] == 'scipy' or m == 'concurrent.futures' "
+                "for m in sys.modules))")
         assert subprocess.run([sys.executable, "-c", code]).returncode == 0
+
+    def test_noise_defaults_are_read_from_noise_spec(self, monkeypatch):
+        monkeypatch.setattr(NoiseSpec, "min_fraction", 0.02)
+        monkeypatch.setattr(NoiseSpec, "max_fraction", 0.2)
+        args = build_parser().parse_args(["validate", "--synthetic", "2"])
+        assert (args.noise_min, args.noise_max) == (0.02, 0.2)
+
+    @pytest.mark.parametrize("argv,message", [
+        (["--noise-min", "5"], "argument --noise-min: expected a value in [0, 1), got '5'"),
+        (["--noise-min", "nan"], "argument --noise-min: expected a value in [0, 1), got 'nan'"),
+        (["--noise-min", "-1"], "argument --noise-min: expected a value in [0, 1), got '-1'"),
+        (["--noise-max", "1"], "argument --noise-max: expected a value in [0, 1), got '1'"),
+        (["--noise-min", "0.2", "--noise-max", "0.1"],
+         "error: --noise-min 0.2 is above --noise-max 0.1"),
+    ], ids=["above-one", "nan", "negative", "max-one", "min-above-max"])
+    def test_bad_noise_exits_2_naming_the_option(self, argv, message):
+        proc = run_cli("validate", "--synthetic", "2", *FAST, *argv)
+        assert proc.returncode == 2
+        assert message in proc.stderr.decode()
+        assert b"Traceback" not in proc.stderr
 
     @pytest.mark.parametrize("option,value,message", [
         ("--seed", "-1", "argument --seed: expected a non-negative integer, got '-1'"),

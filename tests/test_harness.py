@@ -247,6 +247,15 @@ class TestScanCorpus:
         with pytest.raises(ValueError, match="dup"):
             scan_corpus(reports, store=small_store)
 
+    @pytest.mark.parametrize("levels", [(), (0.0, 0.5), (0.9, 0.5)])
+    def test_bad_levels_refused_before_scoring(self, levels):
+        class NoStore:
+            def get(self, *args):
+                pytest.fail("scored a report before checking the levels")
+
+        with pytest.raises(ValueError, match="level"):
+            scan_corpus([self.conforming("src-a")], store=NoStore(), levels=levels)
+
     def test_scores_sorted_and_unscorable_listed(self, small_store):
         reports = [
             self.conforming("src-b"),

@@ -209,6 +209,28 @@ class TestGenerateMatchesSequentialLoop:
             generate_reference(OperatorKind.STD, SynthesisConfig(20, seed=3, mc_draws=5_000))
         assert threading.active_count() == before
 
+    @pytest.mark.parametrize("fail_on", [1, 3])
+    def test_caller_error_propagates_and_the_worker_ends(self, fail_on, monkeypatch):
+        # the 3rd draw fails after the 2nd chunk went to the worker
+        class Boom(Exception):
+            pass
+
+        calls = []
+
+        def failing(*args):
+            calls.append(None)
+            if len(calls) == fail_on:
+                raise Boom("from the caller")
+            return _draw(*args)
+
+        monkeypatch.setattr(reference, "_CHUNK_CELLS", 20_000)
+        monkeypatch.setattr(reference, "_draw", failing)
+        before = threading.active_count()
+        with pytest.raises(Boom, match="from the caller"):
+            generate_reference(OperatorKind.STD, SynthesisConfig(20, seed=3, mc_draws=5_000))
+        assert len(calls) == fail_on
+        assert threading.active_count() == before
+
     def test_std_memory_bounded_at_two_hundred_entries(self):
         # 2e6-cell chunks: the one-thread loop peaked at 46 MiB; two chunks
         # alive at once and sub-block temporaries stay under 40 MiB
