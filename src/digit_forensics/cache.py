@@ -10,6 +10,7 @@ atomic replace, so readers stay consistent; the caller serialises writers.
 """
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -24,19 +25,18 @@ from .reference import ReferenceDistribution, ReferenceKey
 # are refused rather than mixed with exact scores.
 CACHE_VERSION = 2
 
+# An entry holds the record's own fields; this is the JSON type of each, and
+# the record checks every value.
+_ENTRY_TYPES = {"operator": str, "entries_per_vector": int, "pmf": list,
+                "calibration_floor": float, "observed_len_bucket": int, "mc_draws": int,
+                "calibration_samples": int, "seed": int}
+
 
 def entry_payload(ref: ReferenceDistribution) -> dict:
     """Serializable cache-entry dict for a reference, checksum included."""
-    payload = {
-        "operator": ref.operator.value,
-        "entries_per_vector": ref.entries_per_vector,
-        "observed_len_bucket": ref.observed_len,
-        "pmf": [float(p) for p in ref.pmf],
-        "calibration_floor": float(ref.calibration_floor),
-        "mc_draws": ref.mc_draws,
-        "calibration_samples": ref.calibration_samples,
-        "seed": ref.seed,
-    }
+    payload = dataclasses.asdict(ref)
+    payload.update(operator=ref.operator.value, pmf=[float(p) for p in ref.pmf],
+                   calibration_floor=float(ref.calibration_floor))
     payload["checksum"] = checksum(payload)
     return payload
 
@@ -123,25 +123,12 @@ class ReferenceCache:
             raise
 
 
-# The JSON type of each entry field; the record checks every value.
-_ENTRY_TYPES = {"operator": str, "entries_per_vector": int, "observed_len_bucket": int,
-                "pmf": list, "calibration_floor": float, "mc_draws": int,
-                "calibration_samples": int, "seed": int}
-
-
 def _from_entry(entry: dict) -> ReferenceDistribution:
     for name, kind in _ENTRY_TYPES.items():
         if type(entry[name]) is not kind:  # exact, so no bool passes as an int
             raise TypeError(f"{name} must be a JSON {kind.__name__}, got {entry[name]!r}")
     if any(type(p) is not float for p in entry["pmf"]):
         raise TypeError(f"pmf cells must be JSON floats, got {entry['pmf']!r}")
-    return ReferenceDistribution(
-        operator=OperatorKind(entry["operator"]),
-        entries_per_vector=entry["entries_per_vector"],
-        pmf=tuple(entry["pmf"]),
-        calibration_floor=entry["calibration_floor"],
-        observed_len=entry["observed_len_bucket"],
-        mc_draws=entry["mc_draws"],
-        calibration_samples=entry["calibration_samples"],
-        seed=entry["seed"],
-    )
+    fields = {name: entry[name] for name in _ENTRY_TYPES}
+    fields.update(operator=OperatorKind(entry["operator"]), pmf=tuple(entry["pmf"]))
+    return ReferenceDistribution(**fields)

@@ -162,8 +162,12 @@ def run_validation(datasets: Sequence[DatasetMatrix], spec: NoiseSpec, *,
     those get noise injected into their computed statistics. A dataset is
     predicted manipulated when its overall anomaly probability reaches
     ``decision_threshold``. Datasets with no scorable group are excluded
-    from the tally and listed in the result.
+    from the tally and listed in the result. A threshold outside (0, 1) is
+    refused before anything is scored.
     """
+    if not 0.0 < decision_threshold < 1.0:
+        raise ValueError(f"decision_threshold must lie strictly inside (0, 1), "
+                         f"got {decision_threshold!r}")
     count = len(datasets)
     if count < 2 or count % 2:
         raise DegenerateInput(f"validation needs an even number (>= 2) of datasets, got {count}")
@@ -289,6 +293,5 @@ def synthetic_corpus(count: int, seed: int, *, rows: tuple[int, int] = (20, 200)
         data = 10.0 ** exponents
         columns = [(f"f{j + 1}", np.ascontiguousarray(data[:, j]))
                    for j in range(n_features)]
-        datasets.append(DatasetMatrix(name=f"synthetic-{i:04d}", columns=columns,
-                                      n_rows=n_rows))
+        datasets.append(DatasetMatrix(name=f"synthetic-{i:04d}", columns=columns))
     return datasets

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 
 from . import rng as rngmod
-from .errors import MalformedCsv, NoNumericColumns, SchemaViolation, UnknownOperator
+from .errors import MalformedCsv, NoNumericColumns, SchemaViolation
 from .operators import OperatorKind, RowMoments, row_moments
 
 logger = logging.getLogger(__name__)
@@ -29,12 +29,15 @@ _NUMBER_SYNTAX = frozenset("0123456789+-eE")
 
 @dataclass
 class DatasetMatrix:
-    """Numeric columns of one dataset; NA cells are NaN."""
+    """Numeric columns of one dataset, all of one length; NA cells are NaN."""
 
     name: str
     columns: list[tuple[str, np.ndarray]]
-    n_rows: int
     dropped: list[str] = field(default_factory=list)
+
+    @property
+    def n_rows(self) -> int:
+        return len(self.columns[0][1])
 
     @property
     def n_features(self) -> int:
@@ -128,8 +131,7 @@ def load_csv(path, *, delimiter: str = ",", header: bool = True,
     if not columns or len(body) < 2:
         raise NoNumericColumns(
             f"{path}: no numeric column with at least 2 rows after cleaning")
-    return DatasetMatrix(name=path.stem, columns=columns,
-                         n_rows=len(body), dropped=dropped)
+    return DatasetMatrix(name=path.stem, columns=columns, dropped=dropped)
 
 
 def _parse_column(cells: list[str], decimal_separator: str) -> np.ndarray | None:

@@ -104,7 +104,7 @@ class GeneratedLaw(NamedTuple):
     """Monte-Carlo digit law of one operator, before calibration."""
 
     operator: OperatorKind
-    entries_per_vector: int
+    cfg: SynthesisConfig
     pmf: tuple[float, ...]
     skipped_draws: int
 
@@ -114,15 +114,15 @@ class ReferenceDistribution:
     """Calibrated digit law of one operator's outputs.
 
     ``calibration_floor`` is the worst raw score among ``calibration_samples``
-    conforming samples of ``observed_len`` digits; ``mc_draws`` and ``seed``
-    are the knobs the pmf was built under. Every value rule is checked here.
+    conforming samples of ``observed_len_bucket`` digits; the pmf was drawn
+    under ``mc_draws`` and ``seed``. Every value rule is checked here.
     """
 
     operator: OperatorKind
     entries_per_vector: int
     pmf: tuple[float, ...]
     calibration_floor: float
-    observed_len: int
+    observed_len_bucket: int
     mc_draws: int
     calibration_samples: int
     seed: int
@@ -132,12 +132,13 @@ class ReferenceDistribution:
         if not 0.0 <= self.calibration_floor < 1.0:
             raise ValueError(f"calibration floor {self.calibration_floor!r} outside [0, 1)")
         _check_knobs(self.seed, self.mc_draws, self.calibration_samples,
-                     entries_per_vector=self.entries_per_vector, observed_len=self.observed_len)
+                     entries_per_vector=self.entries_per_vector,
+                     observed_len_bucket=self.observed_len_bucket)
 
     @property
     def key(self) -> ReferenceKey:
         return ReferenceKey(self.operator.value, self.entries_per_vector,
-                            self.observed_len)
+                            self.observed_len_bucket)
 
 
 def _draw(rng: np.random.Generator, count: int, entries: int) -> tuple[np.ndarray, np.ndarray]:
@@ -217,10 +218,10 @@ def generate_reference(op: OperatorKind, cfg: SynthesisConfig) -> GeneratedLaw:
             f"{op.value}/n={cfg.entries_per_vector}: {skipped} of {cfg.mc_draws} "
             "draws produced no digit")
     pmf = counts / counts.sum()
-    return GeneratedLaw(op, cfg.entries_per_vector, tuple(float(p) for p in pmf), skipped)
+    return GeneratedLaw(op, cfg, tuple(float(p) for p in pmf), skipped)
 
 
-def calibrate_floor(law: GeneratedLaw, cfg: SynthesisConfig, observed_len: int,
+def calibrate_floor(law: GeneratedLaw, observed_len: int,
                     null_samples: int = DEFAULT_CALIBRATION_SAMPLES) -> ReferenceDistribution:
     """Calibrate ``law`` for samples of ``observed_len`` digits.
 
@@ -228,12 +229,14 @@ def calibrate_floor(law: GeneratedLaw, cfg: SynthesisConfig, observed_len: int,
     and records the worst raw score (1 - p) among them as the floor: the
     raw score rises with the KS distance, so 1 - p at the widest distance.
     Sets are drawn in blocks, so memory stays bounded at any ``null_samples``;
-    a size off the buckets is refused first. Same seed, same floor, exactly.
+    a size off the buckets is refused first. Seed, draws and entries come
+    from ``law.cfg``; same law, same floor, exactly.
     """
+    cfg = law.cfg
     _check_knobs(cfg.seed, cfg.mc_draws, null_samples,
-                 entries_per_vector=law.entries_per_vector, observed_len=observed_len)
+                 entries_per_vector=cfg.entries_per_vector, observed_len=observed_len)
     gen = rngmod.substream(cfg.seed, rngmod.STREAM_CALIBRATE, operator_index(law.operator),
-                           law.entries_per_vector, observed_len)
+                           cfg.entries_per_vector, observed_len)
     pmf = np.asarray(law.pmf)
     rows = max(1, _CHUNK_CELLS // pmf.size)
     widest = 0.0
@@ -242,10 +245,10 @@ def calibrate_floor(law: GeneratedLaw, cfg: SynthesisConfig, observed_len: int,
         widest = max(widest, float(ks_distances(null_counts, pmf).max()))
     return ReferenceDistribution(
         operator=law.operator,
-        entries_per_vector=law.entries_per_vector,
+        entries_per_vector=cfg.entries_per_vector,
         pmf=law.pmf,
         calibration_floor=float(1.0 - ks_tail(observed_len, pmf, widest)),
-        observed_len=int(observed_len),
+        observed_len_bucket=int(observed_len),
         mc_draws=cfg.mc_draws,
         calibration_samples=int(null_samples),
         seed=cfg.seed,
@@ -299,14 +302,12 @@ class ReferenceStore:
                         *key, *built, *wanted)
                 self._memo[key] = ref
                 return ref
-        cfg = SynthesisConfig(entries_per_vector=key.entries_per_vector,
-                              seed=self.seed, mc_draws=self.mc_draws)
         law = self._laws.get(key[:2])
         if law is None:
+            cfg = SynthesisConfig(entries_per_vector=key.entries_per_vector,
+                                  seed=self.seed, mc_draws=self.mc_draws)
             law = self._laws[key[:2]] = generate_reference(op, cfg)
-        ref = calibrate_floor(law, cfg,
-                              observed_len=key.observed_len_bucket,
-                              null_samples=self.calibration_samples)
+        ref = calibrate_floor(law, key.observed_len_bucket, self.calibration_samples)
         if self.cache is not None:
             self.cache.store(ref)
         self._memo[key] = ref

@@ -10,6 +10,7 @@ from digit_forensics import (
     CorruptCache,
     OperatorKind,
     ReferenceCache,
+    ReferenceDistribution,
     ReferenceKey,
     ReferenceStore,
     SynthesisConfig,
@@ -24,17 +25,22 @@ from digit_forensics.cache import CACHE_VERSION, checksum, entry_payload
 def calibrated_ref():
     cfg = SynthesisConfig(entries_per_vector=1, seed=11, mc_draws=1_000)
     ref = generate_reference(OperatorKind.MEAN, cfg)
-    return calibrate_floor(ref, cfg, observed_len=10, null_samples=5)
+    return calibrate_floor(ref, observed_len=10, null_samples=5)
 
 
 @pytest.fixture(scope="module")
 def second_ref():
     cfg = SynthesisConfig(entries_per_vector=2, seed=11, mc_draws=1_000)
     ref = generate_reference(OperatorKind.STD, cfg)
-    return calibrate_floor(ref, cfg, observed_len=20, null_samples=5)
+    return calibrate_floor(ref, observed_len=20, null_samples=5)
 
 
 class TestEntryPayload:
+    def test_entry_fields_are_the_records(self, calibrated_ref):
+        names = [f.name for f in dataclasses.fields(ReferenceDistribution)]
+        assert list(cache_module._ENTRY_TYPES) == names
+        assert sorted(entry_payload(calibrated_ref)) == sorted([*names, "checksum"])
+
     def test_checksum_field_optional_and_consistent(self, calibrated_ref):
         stamped = entry_payload(calibrated_ref)
         bare = {k: v for k, v in stamped.items() if k != "checksum"}

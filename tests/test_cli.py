@@ -183,6 +183,18 @@ class TestScoreStats:
             f"flagged at 0.99: {'yes' if doc['flagged'] else 'no'}",
         ]
 
+    def test_min_samples_moves_a_thin_group_to_insufficient(self, tmp_path):
+        path = tmp_path / "six.json"
+        path.write_text(json.dumps({"source_id": "six", "groups": {
+            "mean": [1.2, 2.3, 1.7, 3.1, 9.4, 1.05, 4.2, 5.9],
+            "std": [1.5, 2.5, 1.1, 3.7, 1.9, 6.2]}}))
+        proc = run_cli("score-stats", str(path), "--min-samples", "7", *FAST)
+        assert proc.returncode == 0, proc.stderr.decode()
+        doc = out_json(proc)
+        assert [row["operator"] for row in doc["per_operator"]] == ["mean"]
+        assert doc["insufficient"] == [
+            {"operator": "std", "usable": 6, "required": 7, "skipped": 0}]
+
     def test_invalid_flag_level_exits_2(self, report_dir):
         proc = run_cli("score-stats", str(report_dir / "a.json"),
                        "--flag-level", "1.5", *FAST)
@@ -266,7 +278,7 @@ class TestScoreStats:
         cfg = SynthesisConfig(entries_per_vector=7, seed=1729, mc_draws=2000)
         law = generate_reference(OperatorKind.MEAN, cfg)
         with pytest.raises(ValueError, match="entries_per_vector must be one of"):
-            ReferenceCache(cache).store(calibrate_floor(law, cfg, observed_len=20,
+            ReferenceCache(cache).store(calibrate_floor(law, observed_len=20,
                                                         null_samples=20))
         assert cache.read_bytes() == before
         again = run_cli(*args)
@@ -347,6 +359,22 @@ class TestScoreDataset:
         expected = out_json(run_cli("score-dataset", str(plain), "--seed", "3", *FAST))
         assert dict(doc, source=None) == dict(expected, source=None)
 
+    def test_pair_cap_limits_the_slopes(self, csv_path):
+        proc = run_cli("score-dataset", str(csv_path), "--pair-cap", "3",
+                       "--min-samples", "1", "--seed", "3", *FAST)
+        assert proc.returncode == 0, proc.stderr.decode()
+        [slope] = [row for row in out_json(proc)["per_operator"]
+                   if row["operator"] == "ols_slope"]
+        assert 1 <= slope["sample_count"] <= 3
+
+    def test_no_header_reads_the_first_line_as_data(self, csv_path, tmp_path):
+        path = tmp_path / "headless.csv"
+        path.write_text("".join(csv_path.read_text().splitlines(keepends=True)[1:]))
+        args = ("score-dataset", str(path), "--seed", "3", *FAST)
+        with_header = out_json(run_cli(*args))
+        without = out_json(run_cli(*args, "--no-header"))
+        assert without["n_rows"] == with_header["n_rows"] + 1 == 8
+
     def test_missing_file_exits_2(self, tmp_path):
         proc = run_cli("score-dataset", str(tmp_path / "absent.csv"), *FAST)
         assert proc.returncode == 2
@@ -416,6 +444,16 @@ class TestValidate:
             f"decision threshold: {doc['decision_threshold']}",
             f"excluded: narrow ({excluded['reason']})",
         ]
+
+    def test_threshold_reaches_the_result(self):
+        proc = run_cli("validate", "--synthetic", "2", "--seed", "11",
+                       "--threshold", "0.3", *self.FAST_VALIDATE)
+        assert proc.returncode == 0, proc.stderr.decode()
+        assert out_json(proc)["decision_threshold"] == 0.3
+        proc = run_cli("validate", "--synthetic", "2", "--threshold", "1",
+                       *self.FAST_VALIDATE)
+        assert proc.returncode == 2
+        assert "argument --threshold" in proc.stderr.decode()
 
     def test_odd_corpus_exits_2(self):
         proc = run_cli("validate", "--synthetic", "3", *self.FAST_VALIDATE)

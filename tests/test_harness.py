@@ -146,6 +146,34 @@ class TestRunValidation:
         with pytest.raises(DegenerateInput):
             run_validation([], spec, store=small_store)
 
+    @pytest.mark.parametrize("threshold", [1.5, float("nan"), -2.0])
+    def test_bad_threshold_refused_before_scoring(self, threshold):
+        class NoStore:
+            def get(self, *args):
+                pytest.fail("scored a dataset before checking the threshold")
+
+        with pytest.raises(ValueError, match="decision_threshold"):
+            run_validation(synthetic_corpus(2, seed=1), NoiseSpec(), store=NoStore(),
+                           decision_threshold=threshold)
+
+    def test_scores_each_dataset_at_its_row_count(self, small_store):
+        # the row count is the columns' length, so no caller can claim another
+        datasets = [DatasetMatrix(d.name, d.columns)
+                    for d in synthetic_corpus(2, seed=4, rows=(30, 30), features=(5, 5))]
+        assert [d.n_rows for d in datasets] == [30, 30]
+        assert all(len(col) == 30 for d in datasets for _, col in d.columns)
+        with pytest.raises(TypeError):
+            DatasetMatrix("d", datasets[0].columns, n_rows=1000)
+        asked = []
+
+        class RecordingStore:
+            def get(self, op, entries_per_vector, observed_len):
+                asked.append(entries_per_vector)
+                return small_store.get(op, entries_per_vector, observed_len)
+
+        run_validation(datasets, NoiseSpec(seed=4), store=RecordingStore(), seed=4)
+        assert asked and set(asked) == {30}
+
     def test_degenerate_scorer_predicts_everything_clean(self, monkeypatch):
         silent = AggregateOutcome(
             per_operator=(TestOutcome(OperatorKind.MEAN, 0.0, 0.0, 9, 0,
@@ -178,8 +206,8 @@ class TestRunValidation:
             assert by_name[dataset.name].overall == clean.overall
 
     def test_unscorable_datasets_excluded_and_listed(self, small_store):
-        thin_a = DatasetMatrix("thin-a", [("c", np.array([1.0, 2.0, 3.0]))], 3)
-        thin_b = DatasetMatrix("thin-b", [("c", np.array([2.0, 4.0, 8.0]))], 3)
+        thin_a = DatasetMatrix("thin-a", [("c", np.array([1.0, 2.0, 3.0]))])
+        thin_b = DatasetMatrix("thin-b", [("c", np.array([2.0, 4.0, 8.0]))])
         datasets = synthetic_corpus(2, seed=8) + [thin_a, thin_b]
         result = run_validation(datasets, NoiseSpec(seed=8), store=small_store,
                                 seed=8)

@@ -26,7 +26,7 @@ def write_csv(tmp_path, text, name="data.csv"):
 def matrix(*cols, name="t"):
     arrays = [(f"f{i + 1}", np.asarray(c, dtype=float))
               for i, c in enumerate(cols)]
-    return DatasetMatrix(name=name, columns=arrays, n_rows=len(cols[0]))
+    return DatasetMatrix(name=name, columns=arrays)
 
 
 class TestLoadCsv:

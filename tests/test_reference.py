@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import inspect
 import logging
 import sys
 import threading
@@ -286,31 +287,41 @@ def mean_ref():
 class TestCalibrateFloor:
     def test_floor_in_unit_interval_and_recorded(self, mean_ref):
         ref, cfg = mean_ref
-        cal = calibrate_floor(ref, cfg, observed_len=20, null_samples=50)
+        cal = calibrate_floor(ref, observed_len=20, null_samples=50)
         assert 0.0 <= cal.calibration_floor < 1.0
-        assert cal.observed_len == 20
+        assert cal.observed_len_bucket == 20
         assert cal.calibration_samples == 50
 
     def test_deterministic(self, mean_ref):
         ref, cfg = mean_ref
-        a = calibrate_floor(ref, cfg, observed_len=10, null_samples=30)
-        b = calibrate_floor(ref, cfg, observed_len=10, null_samples=30)
+        a = calibrate_floor(ref, observed_len=10, null_samples=30)
+        b = calibrate_floor(ref, observed_len=10, null_samples=30)
         assert a.calibration_floor == b.calibration_floor
 
     def test_key_requires_calibration(self, mean_ref):
         # a generated law has no floor and no key; only calibration makes both
         law, cfg = mean_ref
         assert not hasattr(law, "key") and not hasattr(law, "calibration_floor")
-        cal = calibrate_floor(law, cfg, observed_len=10, null_samples=5)
+        cal = calibrate_floor(law, observed_len=10, null_samples=5)
         assert cal.key == ("mean", 1, 10)
         assert cal.pmf == law.pmf
+
+    def test_record_knobs_are_the_laws(self):
+        # a record states the seed, draws and vector size its pmf was drawn under
+        cfg = SynthesisConfig(entries_per_vector=10, seed=1, mc_draws=1_000)
+        law = generate_reference(OperatorKind.MEAN, cfg)
+        assert law.cfg == cfg
+        ref = calibrate_floor(law, observed_len=10, null_samples=5)
+        assert (ref.seed, ref.mc_draws, ref.entries_per_vector) == (1, 1_000, 10)
+        assert list(inspect.signature(calibrate_floor).parameters) == [
+            "law", "observed_len", "null_samples"]
 
     def test_rejects_bad_arguments(self, mean_ref):
         ref, cfg = mean_ref
         with pytest.raises(ValueError):
-            calibrate_floor(ref, cfg, observed_len=0, null_samples=5)
+            calibrate_floor(ref, observed_len=0, null_samples=5)
         with pytest.raises(ValueError):
-            calibrate_floor(ref, cfg, observed_len=10, null_samples=0)
+            calibrate_floor(ref, observed_len=10, null_samples=0)
 
     @pytest.mark.parametrize("n,observed_len,field", [
         (7, 10, "entries_per_vector"), (1, 12, "observed_len")])
@@ -325,14 +336,14 @@ class TestCalibrateFloor:
 
         monkeypatch.setattr(reference.rngmod, "substream", no_draw)
         with pytest.raises(ValueError, match=f"{field} must be one of"):
-            calibrate_floor(law, cfg, observed_len=observed_len, null_samples=5)
+            calibrate_floor(law, observed_len=observed_len, null_samples=5)
 
     @pytest.mark.parametrize("observed_len", [5, 20, 200, 1000])
     def test_blocks_give_the_one_batch_floor(self, mean_ref, observed_len, monkeypatch):
         # Row blocks of one multinomial stream are the rows of one batch, so
         # the block size never moves a floor.
         ref, cfg = mean_ref
-        whole = calibrate_floor(ref, cfg, observed_len=observed_len, null_samples=1000)
+        whole = calibrate_floor(ref, observed_len=observed_len, null_samples=1000)
         drawn = []
 
         def recording(counts, pmf):
@@ -341,7 +352,7 @@ class TestCalibrateFloor:
 
         monkeypatch.setattr(reference, "_CHUNK_CELLS", 9 * 64 + 5)
         monkeypatch.setattr(reference, "ks_distances", recording)
-        assert calibrate_floor(ref, cfg, observed_len=observed_len,
+        assert calibrate_floor(ref, observed_len=observed_len,
                                null_samples=1000) == whole
         gen = substream(cfg.seed, STREAM_CALIBRATE, operator_index(OperatorKind.MEAN),
                         cfg.entries_per_vector, observed_len)
@@ -355,7 +366,7 @@ class TestCalibrateFloor:
         ref, cfg = mean_ref
         tracemalloc.start()
         try:
-            calibrate_floor(ref, cfg, observed_len=20, null_samples=2_000_000)
+            calibrate_floor(ref, observed_len=20, null_samples=2_000_000)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -365,7 +376,7 @@ class TestCalibrateFloor:
 class TestReferenceDistribution:
     @pytest.mark.parametrize("field,value,message", [
         ("entries_per_vector", 7, "entries_per_vector must be one of"),
-        ("observed_len", 12, "observed_len must be one of"),
+        ("observed_len_bucket", 12, "observed_len_bucket must be one of"),
         ("seed", -1, "seed must be non-negative"),
         ("mc_draws", 999, "mc_draws must be >= 1000"),
         ("calibration_samples", 0, "calibration_samples must be >= 1"),
@@ -373,7 +384,7 @@ class TestReferenceDistribution:
     def test_refuses_every_value_a_cache_entry_refuses(self, mean_ref, field, value,
                                                        message):
         law, cfg = mean_ref
-        ref = calibrate_floor(law, cfg, observed_len=10, null_samples=5)
+        ref = calibrate_floor(law, observed_len=10, null_samples=5)
         with pytest.raises(ValueError, match=message):
             dataclasses.replace(ref, **{field: value})
 
@@ -404,7 +415,7 @@ class TestReferenceStore:
         ref = small_store.get(OperatorKind.MEAN, entries_per_vector=13,
                               observed_len=18)
         assert ref.entries_per_vector == 10
-        assert ref.observed_len == 20
+        assert ref.observed_len_bucket == 20
         assert ref is small_store.get(OperatorKind.MEAN, 11, 22)
 
     def test_same_parameters_rebuild_identically(self):
@@ -452,7 +463,7 @@ class TestReferenceStore:
         for ref in refs:
             cfg = SynthesisConfig(ref.entries_per_vector, seed=6, mc_draws=2_000)
             law = generate_reference(ref.operator, cfg)
-            assert ref == calibrate_floor(law, cfg, ref.observed_len, 50)
+            assert ref == calibrate_floor(law, ref.observed_len_bucket, 50)
 
     def test_cache_hit_under_same_knobs_is_silent(self, tmp_path, caplog):
         path = tmp_path / "refs.json"
@@ -486,7 +497,7 @@ def test_seeded_streams_are_pinned():
     for op in OperatorKind:
         for n in (2, 5, 20):
             cfg = SynthesisConfig(n, seed=31, mc_draws=20_000)
-            ref = calibrate_floor(generate_reference(op, cfg), cfg, observed_len=20,
+            ref = calibrate_floor(generate_reference(op, cfg), observed_len=20,
                                   null_samples=300)
             digest.update(repr((ref.pmf, ref.calibration_floor)).encode())
     for dataset in synthetic_corpus(5, seed=3):

@@ -34,7 +34,7 @@ def make_ref(floor=0.8, pmf=None, observed_len=10):
     return ReferenceDistribution(
         operator=OperatorKind.MEAN, entries_per_vector=1,
         pmf=tuple(pmf if pmf is not None else benford_pmf()),
-        calibration_floor=floor, observed_len=observed_len,
+        calibration_floor=floor, observed_len_bucket=observed_len,
         mc_draws=1_000, calibration_samples=10, seed=0)
 
 
