@@ -31,10 +31,14 @@ from .harness import (
 )
 from .ingest import DEFAULT_PAIR_CAP, compute_stats, load_csv, load_report
 from .operators import OPERATOR_ORDER, OperatorKind
-from .reference import DEFAULT_CALIBRATION_SAMPLES, DEFAULT_DRAWS, MIN_DRAWS, ReferenceStore
+from .reference import (
+    DEFAULT_CALIBRATION_SAMPLES,
+    DEFAULT_DRAWS,
+    DEFAULT_SEED,
+    MIN_DRAWS,
+    ReferenceStore,
+)
 from .scoring import DEFAULT_MIN_SAMPLES, flag, score_groups
-
-DEFAULT_SEED = 1729
 
 EXIT_OK = 0
 EXIT_USAGE = 2

@@ -278,10 +278,14 @@ def synthetic_corpus(count: int, seed: int, *, rows: tuple[int, int] = (20, 200)
     log-uniform over DECADE_SPAN decades with its own whole-decade offset
     from DECADE_OFFSETS, so each column's leading digits obey the base law
     and the computed statistics follow the operator references by
-    construction.
+    construction. Each range is refused unless ``1 <= low <= high``.
     """
     if count < 0:
         raise ValueError("count must be non-negative")
+    for name, (low, high) in (("rows", rows), ("features", features)):
+        if not 1 <= low <= high:
+            raise ValueError(f"{name} must be a range (low, high) with 1 <= low <= high, "
+                             f"got {(low, high)}")
     datasets = []
     for i in range(count):
         gen = rngmod.substream(seed, rngmod.STREAM_CORPUS, i)

@@ -73,7 +73,6 @@ class ReportedStats:
 
     source_id: str
     groups: dict[OperatorKind, list[float]]
-    metadata: dict[str, str] = field(default_factory=dict)
 
 
 def load_csv(path, *, delimiter: str = ",", header: bool = True,
@@ -208,8 +207,8 @@ def compute_stats(dataset: DatasetMatrix, pair_cap: int = DEFAULT_PAIR_CAP,
 def load_report(path) -> ReportedStats:
     """Parse and validate one reported-statistics JSON document.
 
-    Schema: {"source_id": str, "groups": {name: [numbers]}, "metadata":
-    {str: str}}. Group names must be known operators, every value must
+    Schema: {"source_id": str, "groups": {name: [numbers]}}; other keys
+    are ignored. Group names must be known operators, every value must
     be a finite number, and at least one group must be present.
     """
     path = Path(path)
@@ -244,18 +243,7 @@ def load_report(path) -> ReportedStats:
                     pointer=f"{pointer}/{i}")
             parsed.append(float(value))
         groups[op] = parsed
-    metadata: dict[str, str] = {}
-    raw_metadata = doc.get("metadata", {})
-    if not isinstance(raw_metadata, dict):
-        raise SchemaViolation(f"{path}: metadata must be an object",
-                              pointer="/metadata")
-    for key, value in raw_metadata.items():
-        if not isinstance(value, str):
-            raise SchemaViolation(
-                f"{path}: /metadata/{key} must be a string, got {value!r}",
-                pointer=f"/metadata/{key}")
-        metadata[key] = value
-    return ReportedStats(source_id=source_id, groups=groups, metadata=metadata)
+    return ReportedStats(source_id=source_id, groups=groups)
 
 
 def _as_float(value: int | float) -> float:

@@ -26,6 +26,7 @@ logger = logging.getLogger(__name__)
 
 SIZE_BUCKETS = (1, 2, 5, 10, 20, 50, 100, 200, 500, 1000)
 
+DEFAULT_SEED = 1729
 DEFAULT_DRAWS = 100_000
 MIN_DRAWS = 1000
 DEFAULT_CALIBRATION_SAMPLES = 1000
@@ -181,18 +182,55 @@ def _count_digits(op: OperatorKind, drawn: list) -> tuple[np.ndarray, int]:
     return counts[1:], skipped
 
 
+def _law_from_counts(op: OperatorKind, cfg: SynthesisConfig, counts: np.ndarray,
+                     skipped: int) -> GeneratedLaw:
+    """The law of ``cfg.mc_draws`` draws from their digit counts and skips.
+
+    Refuses with TooManySkips when more than 10% of draws produced no digit.
+    """
+    if skipped > MAX_SKIP_FRACTION * cfg.mc_draws:
+        raise TooManySkips(
+            f"{op.value}/n={cfg.entries_per_vector}: {skipped} of {cfg.mc_draws} "
+            "draws produced no digit")
+    pmf = counts / counts.sum()
+    return GeneratedLaw(op, cfg, tuple(float(p) for p in pmf), skipped)
+
+
+def _packaged_law(op: OperatorKind, cfg: SynthesisConfig) -> GeneratedLaw | None:
+    """The law from the packaged table, or None when the table lacks it.
+
+    The table holds every law that can be built under the seed and draw
+    count it was drawn under; a law served from it equals the one
+    ``generate_reference`` draws under those knobs, bit for bit.
+    """
+    # imported here: one-off CLI calls that load every reference from the cache skip it
+    from . import default_laws
+
+    if (cfg.seed, cfg.mc_draws) != (default_laws.SEED, default_laws.DRAWS):
+        return None
+    entry = default_laws.LAWS.get((op.value, cfg.entries_per_vector))
+    if entry is None:
+        return None
+    counts, skipped = entry
+    return _law_from_counts(op, cfg, np.asarray(counts, dtype=np.int64), skipped)
+
+
 def generate_reference(op: OperatorKind, cfg: SynthesisConfig) -> GeneratedLaw:
     """Monte-Carlo leading-digit law of ``op`` over synthetic vectors.
 
-    Outputs without a digit (zero, non-finite, degenerate) are skipped
-    and counted; generation aborts with TooManySkips when more than 10%
-    of draws produce nothing.
+    A std or slope over one entry per vector does not exist, so those are
+    refused with ValueError before any draw. Outputs without a digit (zero,
+    non-finite, degenerate) are skipped and counted; generation aborts with
+    TooManySkips when more than 10% of draws produce nothing.
 
     The caller's thread draws the chunks in stream order while one worker
     thread counts the previous chunk's digits; the caller then hands over
     the new chunk and drops it, so at most two chunks are alive at once.
     Counts are integer sums, so the law does not depend on the timing.
     """
+    if op is not OperatorKind.MEAN and cfg.entries_per_vector < 2:
+        raise ValueError(f"{op.value} needs entries_per_vector >= 2 (it is undefined "
+                         f"over one entry), got {cfg.entries_per_vector}")
     # imported here: one-off CLI calls that build no reference skip its import
     from concurrent.futures import ThreadPoolExecutor
 
@@ -211,14 +249,8 @@ def generate_reference(op: OperatorKind, cfg: SynthesisConfig) -> GeneratedLaw:
             future = worker.submit(_count_digits, op, drawn)
             del drawn
         results.append(future.result())
-    counts = sum(c for c, _ in results)
-    skipped = sum(s for _, s in results)
-    if skipped > MAX_SKIP_FRACTION * cfg.mc_draws:
-        raise TooManySkips(
-            f"{op.value}/n={cfg.entries_per_vector}: {skipped} of {cfg.mc_draws} "
-            "draws produced no digit")
-    pmf = counts / counts.sum()
-    return GeneratedLaw(op, cfg, tuple(float(p) for p in pmf), skipped)
+    return _law_from_counts(op, cfg, sum(c for c, _ in results),
+                            sum(s for _, s in results))
 
 
 def calibrate_floor(law: GeneratedLaw, observed_len: int,
@@ -261,9 +293,11 @@ class ReferenceStore:
     Keys are (operator, entries-per-vector bucket, observed-length
     bucket). Generation and calibration streams are derived from the key,
     so a reference is identical no matter which order keys get built in.
-    A law depends on (operator, entries bucket) alone, so each is
-    generated at most once per store and calibrated for every
-    observed-length bucket that needs it.
+    A law depends on (operator, entries bucket) alone, so each is taken
+    from the packaged table under the default seed and draw count, and
+    generated otherwise, at most once per store; it is calibrated for
+    every observed-length bucket that needs it, and every reference goes
+    to the cache.
     A cached entry built under another seed, draw count or calibration
     sample count is still used, with a warning that names both. The
     knobs themselves are checked here, before any cache lookup.
@@ -306,7 +340,7 @@ class ReferenceStore:
         if law is None:
             cfg = SynthesisConfig(entries_per_vector=key.entries_per_vector,
                                   seed=self.seed, mc_draws=self.mc_draws)
-            law = self._laws[key[:2]] = generate_reference(op, cfg)
+            law = self._laws[key[:2]] = _packaged_law(op, cfg) or generate_reference(op, cfg)
         ref = calibrate_floor(law, key.observed_len_bucket, self.calibration_samples)
         if self.cache is not None:
             self.cache.store(ref)

@@ -16,6 +16,7 @@ from digit_forensics import (
     calibrate_floor,
     generate_reference,
 )
+from digit_forensics import cli, reference
 from digit_forensics.cache import CACHE_VERSION, checksum
 from digit_forensics.cli import build_parser
 from digit_forensics.harness import (
@@ -131,10 +132,23 @@ class TestGenRef:
         assert proc.returncode == 2
         assert b"median" in proc.stderr
 
-    def test_degenerate_generation_exits_3(self):
-        proc = run_cli("gen-ref", "--operator", "std", "--n", "1", *FAST)
-        assert proc.returncode == 3
-        assert proc.stderr.decode().startswith("error:")
+    @pytest.mark.parametrize("op", ["std", "ols_slope"])
+    def test_single_entry_exits_2_naming_the_operator(self, op):
+        # under the default knobs, and refused before any draw
+        proc = run_cli("gen-ref", "--operator", op, "--n", "1")
+        assert proc.returncode == 2
+        assert proc.stderr.decode() == (
+            f"error: {op} needs entries_per_vector >= 2 (it is undefined over one "
+            "entry), got 1\n")
+
+    def test_too_many_skips_exits_3(self, monkeypatch, capsys):
+        def nothing_counted(op, drawn):
+            return np.zeros(9, dtype=np.int64), len(drawn[0][0])
+
+        monkeypatch.setattr(reference, "_count_digits", nothing_counted)
+        assert cli.main(["gen-ref", "--operator", "mean", "--n", "5", *FAST]) == 3
+        assert capsys.readouterr().err == (
+            "error: mean/n=5: 2000 of 2000 draws produced no digit\n")
 
 
 class TestScoreStats:

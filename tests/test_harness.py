@@ -339,3 +339,17 @@ class TestSyntheticCorpus:
         assert synthetic_corpus(0, seed=1) == []
         with pytest.raises(ValueError):
             synthetic_corpus(-1, seed=1)
+
+    @pytest.mark.parametrize("kwargs,name", [
+        ({"features": (0, 0)}, "features"),
+        ({"features": (6, 5)}, "features"),
+        ({"rows": (50, 10)}, "rows"),
+        ({"rows": (0, 10)}, "rows"),
+    ])
+    def test_refuses_a_bad_range_naming_it(self, kwargs, name):
+        with pytest.raises(ValueError, match=f"^{name} must be a range"):
+            synthetic_corpus(2, seed=1, **kwargs)
+
+    def test_single_row_and_feature_range(self):
+        [dataset] = synthetic_corpus(1, seed=1, rows=(1, 1), features=(1, 1))
+        assert (dataset.n_rows, dataset.n_features) == (1, 1)

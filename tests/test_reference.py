@@ -23,11 +23,11 @@ from digit_forensics import (
     size_bucket,
     synthetic_corpus,
 )
-from digit_forensics import reference
+from digit_forensics import default_laws, reference
 from digit_forensics.digits import extract_digits, histogram
 from digit_forensics.operators import operator_index, row_means, row_moments
-from digit_forensics.reference import (DECADE_OFFSETS, DECADE_SPAN, SIZE_BUCKETS, _conform,
-                                       _draw)
+from digit_forensics.reference import (DECADE_OFFSETS, DECADE_SPAN, DEFAULT_DRAWS, DEFAULT_SEED,
+                                       SIZE_BUCKETS, _conform, _draw)
 from digit_forensics.rng import STREAM_CALIBRATE, STREAM_GENERATE, substream
 from digit_forensics.scoring import ks_distances
 
@@ -133,6 +133,10 @@ def _sequential_counts(op, cfg):
 
 
 def _assert_matches_sequential(op, cfg):
+    if op is not OperatorKind.MEAN and cfg.entries_per_vector == 1:
+        with pytest.raises(ValueError, match="undefined over one entry"):
+            generate_reference(op, cfg)  # refused before any draw: no law exists
+        return
     counts, skipped = _sequential_counts(op, cfg)
     if skipped > reference.MAX_SKIP_FRACTION * cfg.mc_draws:
         with pytest.raises(TooManySkips):
@@ -272,10 +276,15 @@ class TestGenerateReference:
         b = generate_reference(OperatorKind.STD, cfg)
         assert a.pmf == b.pmf
 
-    def test_std_of_single_entry_aborts(self):
+    def test_std_of_single_entry_aborts(self, monkeypatch):
+        def no_draw(*args):
+            pytest.fail("drew vectors for a law that does not exist")
+
+        monkeypatch.setattr(reference, "_draw", no_draw)
         cfg = SynthesisConfig(entries_per_vector=1, seed=2, mc_draws=1_000)
-        with pytest.raises(TooManySkips):
-            generate_reference(OperatorKind.STD, cfg)
+        for op in (OperatorKind.STD, OperatorKind.OLS_SLOPE):
+            with pytest.raises(ValueError, match=f"^{op.value} needs entries_per_vector >= 2"):
+                generate_reference(op, cfg)
 
 
 @pytest.fixture(scope="module")
@@ -474,6 +483,88 @@ class TestReferenceStore:
         with caplog.at_level(logging.DEBUG, logger="digit_forensics"):
             again.get(OperatorKind.MEAN, 1, 10)
         assert caplog.records == []
+
+
+
+def _fail_on_generate(op, cfg):
+    pytest.fail(f"generated {op.value}/n={cfg.entries_per_vector} under the default knobs")
+
+
+# sha256 over the repr of (SEED, DRAWS, LAWS) in the packaged table, recorded
+# when scripts/default_laws.py wrote it with numpy 2.4.6; the counts were the
+# same with numpy's AVX-512 paths switched off.
+PINNED_TABLE_DIGEST = "d724757f86bc8b6ef7de4690f9cff26aec5b05c4e233a0993fdbcbd4446594f4"
+
+
+class TestPackagedLaws:
+    """The default-knob laws come from the packaged table, not from draws."""
+
+    def test_table_knobs_are_the_defaults(self):
+        assert (default_laws.SEED, default_laws.DRAWS) == (DEFAULT_SEED, DEFAULT_DRAWS)
+
+    def test_table_holds_every_law_that_exists(self):
+        buildable = {(op.value, n) for op in OperatorKind for n in SIZE_BUCKETS
+                     if n > 1 or op is OperatorKind.MEAN}
+        assert len(default_laws.LAWS) == len(buildable) == 28
+        assert set(default_laws.LAWS) == buildable
+        for counts, skipped in default_laws.LAWS.values():
+            assert len(counts) == 9
+            assert sum(counts) + skipped == default_laws.DRAWS
+
+    def test_table_is_pinned(self):
+        table = (default_laws.SEED, default_laws.DRAWS, default_laws.LAWS)
+        assert hashlib.sha256(repr(table).encode()).hexdigest() == PINNED_TABLE_DIGEST
+
+    def test_regenerated_laws_agree_with_the_table(self):
+        # Each count within 5 Monte-Carlo standard errors, sqrt(T p (1 - p))
+        # and at least one draw; counts may move only where numpy's float64
+        # pow differs in the last bit between machines.
+        for (name, n), (counts, skipped) in default_laws.LAWS.items():
+            if n > 200:
+                continue
+            cfg = SynthesisConfig(n, seed=DEFAULT_SEED, mc_draws=DEFAULT_DRAWS)
+            law = generate_reference(OperatorKind(name), cfg)
+            total = DEFAULT_DRAWS - law.skipped_draws
+            p = np.asarray(counts) / sum(counts)
+            error = np.maximum(np.sqrt(total * p * (1.0 - p)), 1.0)
+            drift = np.abs(np.asarray(law.pmf) * total - np.asarray(counts))
+            assert np.all(drift <= 5.0 * error), (name, n)
+            assert abs(law.skipped_draws - skipped) <= 5.0 * max(1.0, skipped ** 0.5)
+
+    @pytest.mark.parametrize("op", list(OperatorKind))
+    def test_served_law_is_the_generated_law(self, op):
+        cfg = SynthesisConfig(2, seed=DEFAULT_SEED, mc_draws=DEFAULT_DRAWS)
+        assert reference._packaged_law(op, cfg) == generate_reference(op, cfg)
+
+    def test_default_store_never_generates(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(reference, "generate_reference", _fail_on_generate)
+        cache = ReferenceCache(tmp_path / "refs.json")
+        store = ReferenceStore(seed=DEFAULT_SEED, cache=cache, calibration_samples=20)
+        for (name, n), (counts, _) in default_laws.LAWS.items():
+            ref = store.get(OperatorKind(name), n, 20)
+            assert (ref.seed, ref.mc_draws) == (DEFAULT_SEED, DEFAULT_DRAWS)
+            assert ref.pmf == tuple(float(p) for p in np.asarray(counts) / sum(counts))
+            assert cache.load(ref.key) == ref  # every reference still goes to the cache
+
+    def test_single_entry_std_is_refused_under_the_default_knobs(self):
+        store = ReferenceStore(seed=DEFAULT_SEED, calibration_samples=20)
+        with pytest.raises(ValueError, match="^std needs entries_per_vector >= 2"):
+            store.get(OperatorKind.STD, 1, 20)
+
+    @pytest.mark.parametrize("seed,draws", [(DEFAULT_SEED + 1, DEFAULT_DRAWS),
+                                            (DEFAULT_SEED, 2_000)],
+                             ids=["other-seed", "other-draws"])
+    def test_other_knobs_still_generate(self, seed, draws, monkeypatch):
+        built = []
+
+        def counting(op, cfg):
+            built.append((op, cfg))
+            return generate_reference(op, cfg)
+
+        monkeypatch.setattr(reference, "generate_reference", counting)
+        store = ReferenceStore(seed=seed, mc_draws=draws, calibration_samples=20)
+        store.get(OperatorKind.MEAN, 2, 20)
+        assert built == [(OperatorKind.MEAN, SynthesisConfig(2, seed=seed, mc_draws=draws))]
 
 
 # sha256 over the (pmf, floor) reprs of nine calibrated references, then the
