@@ -6,11 +6,14 @@ a SHA-256 checksum over its canonical serialization (sorted keys, no
 whitespace, checksum field excluded). A parse checks each entry's checksum
 and field types, then builds the reference, which checks the values; one
 bad entry, or two for one key, refuses the whole file. Writes go through an
-atomic replace, so readers stay consistent; the caller serialises writers.
+atomic replace, so readers stay consistent. A writer holds an exclusive
+``fcntl.flock`` on ``<cache>.lock`` while it reads, merges and replaces the
+file, so writers in other processes wait their turn and lose no entry.
 """
 from __future__ import annotations
 
 import dataclasses
+import fcntl
 import hashlib
 import json
 import os
@@ -64,9 +67,12 @@ class ReferenceCache:
         return ref
 
     def store(self, ref: ReferenceDistribution) -> None:
-        refs = dict(self._read())
-        refs[ref.key] = _from_entry(entry_payload(ref))  # write only what loads again
-        self._write(refs)
+        self.path.parent.mkdir(parents=True, exist_ok=True)
+        with open(self.path.with_name(self.path.name + ".lock"), "a") as lock:
+            fcntl.flock(lock, fcntl.LOCK_EX)  # released when the file closes
+            refs = dict(self._read())
+            refs[ref.key] = _from_entry(entry_payload(ref))  # write only what loads again
+            self._write(refs)
 
     def _read(self) -> dict[ReferenceKey, ReferenceDistribution]:
         try:
@@ -110,7 +116,6 @@ class ReferenceCache:
     def _write(self, refs: dict[ReferenceKey, ReferenceDistribution]) -> None:
         entries = [entry_payload(refs[k]) for k in sorted(refs)]
         doc = {"version": CACHE_VERSION, "entries": entries}
-        self.path.parent.mkdir(parents=True, exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=self.path.parent, suffix=".tmp")
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as fh:

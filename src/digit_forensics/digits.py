@@ -104,7 +104,7 @@ def check_pmf(probs) -> np.ndarray:
     arr = np.asarray(probs, dtype=float)
     if arr.shape != (9,):
         raise ValueError(f"expected a 9-cell pmf, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)) or np.any(arr < 0.0):
+    if not (arr.min() >= 0.0 and arr.max() < np.inf):  # NaN fails both
         raise ValueError("pmf cells must be finite and non-negative")
     if abs(float(arr.sum()) - 1.0) > _SUM_TOL:
         raise ValueError(f"pmf sums to {arr.sum()!r}, not 1")

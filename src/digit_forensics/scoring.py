@@ -9,6 +9,7 @@ normalised against the reference's calibration floor.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Mapping
 
@@ -96,6 +97,25 @@ def ks_discrete(observed: DigitHistogram, ref_pmf) -> float:
     return float(ks_distances(observed.counts, ref_pmf))
 
 
+# log k! for k < _LOG_FACT.size, shared by every ks_tail call.
+_LOG_FACT = np.empty(0)
+
+
+def _log_factorials(n: int) -> np.ndarray:
+    """log k! as ``math.lgamma(k + 1.0)`` for k = 0..n at least.
+
+    The shared table grows to the largest n seen. A call keeps the table
+    it was handed, so a concurrent growth never changes its values.
+    """
+    global _LOG_FACT
+    table = _LOG_FACT
+    if table.size <= n:
+        more = np.fromiter((math.lgamma(k + 1.0) for k in range(table.size, n + 1)),
+                           dtype=float, count=n + 1 - table.size)
+        table = _LOG_FACT = np.concatenate((table, more))
+    return table
+
+
 def ks_tail(total: int, ref_pmf, statistic: float) -> float:
     """Exact P(D >= statistic) for ``total`` draws from Multinomial(ref_pmf).
 
@@ -105,72 +125,114 @@ def ks_tail(total: int, ref_pmf, statistic: float) -> float:
     small tails keep their relative precision (Conover 1972; Arnold &
     Emerson 2011). Where the DKW bound 2*exp(-2*n*d**2) is at most 5e-17,
     that bound is returned instead.
+
+    Every p-value is bit-identical to the step-by-step engine this one
+    replaced: the same float expressions, matrix shapes and BLAS calls.
+    ``tests/test_ks_tail_oracle.py`` checks that against a copy of it.
+    ``total`` must be an integer and ``statistic`` a number (ValueError).
     """
     pmf = check_pmf(ref_pmf)
-    n = int(total)
+    try:
+        n = operator.index(total)
+    except TypeError:
+        raise ValueError(f"total must be an integer count, got {total!r}") from None
     if n < 1:
         raise EmptyHistogram("cannot score an empty histogram")
     d = float(statistic)
+    if math.isnan(d):
+        raise ValueError("statistic must be a number, got NaN")
+    if d <= 0.0:
+        return 1.0  # no state is inside the first band
     dkw = 2.0 * math.exp(-2.0 * n * d * d)
-    if d > 0.0 and dkw <= _DKW_SHORTCUT:
+    if dkw <= _DKW_SHORTCUT:
         return dkw
-    ref_cdf = np.cumsum(pmf)
-    remaining = np.cumsum(pmf[::-1])[::-1]
-    log_fact = np.array([math.lgamma(k + 1.0) for k in range(n + 1)])
-    states = np.arange(n + 1)
-    # Beyond its mode a binomial term shrinks by exp(-2*j**2/(n+2)) over j
+
+    # Every band, from one window per cell that holds it with a state to
+    # spare on each side: |S_k - n*F_k| < n*d up to rounding. A band is
+    # contiguous, because S/n - F_k rises with S.
+    ref_cdf = pmf.cumsum()
+    half = math.ceil(n * min(d, 1.0)) + 2
+    width = min(n + 1, 2 * half + 1)
+    base = np.minimum(np.maximum((n * ref_cdf).astype(np.int64) - half, 0), n + 1 - width)
+    inside = _cdf_gaps(base[:, None] + np.arange(width), n, ref_cdf[:, None]) < d
+    counts = inside.sum(axis=1).tolist()
+    steps = counts.index(0) if 0 in counts else 9
+    if not steps:
+        return 1.0
+    firsts = (base + inside.argmax(axis=1)).tolist()[:steps]
+    lasts = [first + count - 1 for first, count in zip(firsts, counts)]
+
+    # Step k carries band k-1 (state 0 before the first) to the targets
+    # around band k, out to ``reach`` states on each side. Beyond its mode a binomial term shrinks by exp(-2*j**2/(n+2)) over j
     # steps. Every source's mode lies within a cell of the next band, so
     # terms farther than this outside the band are below 1e-35 of the
     # boundary term and dropping them costs no relative precision.
     reach = math.ceil(math.sqrt(40.0 * (n + 2)))
-    mass = np.ones(1)
-    lo = 0
-    left = 0.0
-    for k in range(9):
-        inside = np.flatnonzero(_cdf_gaps(states, n, ref_cdf[k]) < d)
-        if not inside.size:
-            return min(left + float(mass.sum()), 1.0)
-        q = 1.0 if k == 8 or remaining[k] <= 0.0 else min(pmf[k] / remaining[k], 1.0)
-        t_lo = max(lo, int(inside[0]) - reach)
-        step = _propagate(mass, lo, t_lo, min(n, int(inside[-1]) + reach), n, q, log_fact)
-        first, last = int(inside[0]) - t_lo, int(inside[-1]) - t_lo
+    src_lo = [0] + firsts[:-1]
+    src_size = [1] + counts[:steps - 1]
+    t_lo = [max(lo, first - reach) for lo, first in zip(src_lo, firsts)]
+    t_size = [min(n, last + reach) - low + 1 for low, last in zip(t_lo, lasts)]
+    probs, remaining = pmf.tolist(), pmf[::-1].cumsum()[::-1].tolist()
+    qs = [1.0 if k == 8 or remaining[k] <= 0.0 else min(probs[k] / remaining[k], 1.0)
+          for k in range(steps)]
+    live = [0.0 < q < 1.0 for q in qs]
+
+    # P(S_k = t | S_{k-1} = s) = C(n-s, t-s) q^(t-s) (1-q)^(n-t); its log
+    # splits into a source term, a target term and log (t-s)!. Each is one
+    # row per step, padded to the widest; a degenerate step's row is unused,
+    # and so is padding, which reads a clipped index.
+    log_fact = _log_factorials(n)
+    log_q = np.array([math.log(q) if ok else 0.0 for q, ok in zip(qs, live)])[:, None]
+    log_p = np.array([math.log1p(-q) if ok else 0.0 for q, ok in zip(qs, live)])[:, None]
+    wide_s, wide_t = max(src_size), max(t_size)
+    span = np.arange(wide_s + wide_t - 1)
+    anchors = np.array([src_lo, t_lo])[:, :, None]
+    sources, targets = anchors[0] + span[:wide_s], anchors[1] + span[:wide_t]
+    # Sources as columns: src_term[k, i:j] + dst_term[k] is the outer sum.
+    src_term = (log_fact.take(n - sources, mode="clip") - sources * log_q)[:, :, None]
+    dst_term = targets * log_q + (n - targets) * log_p - log_fact.take(n - targets, mode="clip")
+    # log (t-s)! along each step's gaps from the smallest up, +inf where
+    # t < s so that exp gives exactly 0. In the read-only Toeplitz view,
+    # row a starts at the (a+1)-th smallest gap, so source i reads row
+    # size_s - 1 - i.
+    gaps = anchors[1] - anchors[0] - np.array(src_size)[:, None] + 1 + span
+    gap_fact = log_fact.take(gaps, mode="clip")
+    gap_fact[gaps < 0] = np.inf
+    toeplitz = np.ndarray((steps, wide_s, wide_t), float, gap_fact, 0,
+                          gap_fact.strides + gap_fact.strides[1:])
+    toeplitz.flags.writeable = False
+
+    mass, left = np.ones(1), 0.0
+    for k in range(steps):
+        size_s, size_t = src_size[k], t_size[k]
+        # Degenerate steps. With q = 0 every count stays put, and F_k equals
+        # F_{k-1}, so the band is the same. With q = 1 the later cells are
+        # empty, F_k is 1 up to rounding, and everything lands on n, the
+        # state nearest to it.
+        if not live[k]:
+            step = np.zeros(size_t)
+            if qs[k] <= 0.0:
+                step[src_lo[k] - t_lo[k]:src_lo[k] - t_lo[k] + size_s] = mass
+            else:
+                step[n - t_lo[k]] = mass.sum()
+        else:
+            src, dst = src_term[k, :size_s], dst_term[k, :size_t]
+            fact = toeplitz[k, size_s - 1::-1, :size_t]
+            rows = max(1, _BLOCK_CELLS // size_t)
+            for start in range(0, size_s, rows):
+                block = src[start:start + rows] + dst
+                block -= fact[start:start + rows]
+                np.exp(block, out=block)
+                if start:
+                    step += mass[start:start + rows] @ block
+                else:
+                    step = mass[:rows] @ block
+        first, last = firsts[k] - t_lo[k], lasts[k] - t_lo[k]
         left += float(step[:first].sum()) + float(step[last + 1:].sum())
-        mass, lo = step[first:last + 1], int(inside[0])
+        mass = step[first:last + 1]
+    if steps < 9:
+        return min(left + float(mass.sum()), 1.0)
     return min(left, 1.0)
-
-
-def _propagate(mass: np.ndarray, lo: int, t_lo: int, t_hi: int, n: int, q: float,
-               log_fact: np.ndarray) -> np.ndarray:
-    """Mass on S_k in [t_lo, t_hi] given ``mass`` on S_{k-1} = lo, lo+1, ...
-
-    P(S_k = t | S_{k-1} = s) = C(n-s, t-s) q^(t-s) (1-q)^(n-t); its log
-    splits into a source term, a target term and log (t-s)!.
-    """
-    sources = np.arange(lo, lo + mass.size)
-    targets = np.arange(t_lo, t_hi + 1)
-    out = np.zeros(targets.size)
-    # Degenerate steps. With q = 0 every count stays put, and F_k equals
-    # F_{k-1}, so the band is the same. With q = 1 the later cells are
-    # empty, F_k is 1 up to rounding, and everything lands on n, the state
-    # nearest to it.
-    if q <= 0.0:
-        out[lo - t_lo:lo - t_lo + mass.size] = mass
-        return out
-    if q >= 1.0:
-        out[n - t_lo] = mass.sum()
-        return out
-    log_q, log_p = math.log(q), math.log1p(-q)
-    src_term = log_fact[n - sources] - sources * log_q
-    dst_term = targets * log_q + (n - targets) * log_p - log_fact[n - targets]
-    rows = max(1, _BLOCK_CELLS // targets.size)
-    for start in range(0, mass.size, rows):
-        s = sources[start:start + rows]
-        gap = targets[None, :] - s[:, None]
-        ok = gap >= 0
-        logs = src_term[start:start + rows, None] + dst_term[None, :] \
-            - log_fact[np.where(ok, gap, 0)]
-        out += mass[start:start + rows] @ np.exp(np.where(ok, logs, -np.inf))
-    return out
 
 
 def ks_p_value(observed: DigitHistogram, ref_pmf) -> KsResult:

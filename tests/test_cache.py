@@ -2,6 +2,9 @@ import dataclasses
 import json
 import math
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -107,6 +110,40 @@ class TestCacheRoundTrip:
         cache = ReferenceCache(tmp_path / "nowhere.json")
         with pytest.raises(CacheMiss):
             cache.load(ReferenceKey("mean", 1, 10))
+
+
+# Stores every other key of the first 216 into one cache file, once the
+# start file exists.
+WRITER = """
+import sys, time
+from pathlib import Path
+from digit_forensics import OperatorKind, ReferenceCache, ReferenceDistribution, benford_pmf
+from digit_forensics.reference import SIZE_BUCKETS
+
+path, part, start = sys.argv[1], int(sys.argv[2]), Path(sys.argv[3])
+keys = [(op, n, obs) for op in OperatorKind for n in SIZE_BUCKETS for obs in SIZE_BUCKETS]
+cache = ReferenceCache(path)
+while not start.exists():
+    time.sleep(0.001)
+for op, n, obs in keys[part:216:2]:
+    cache.store(ReferenceDistribution(
+        operator=op, entries_per_vector=n, pmf=tuple(benford_pmf()), calibration_floor=0.5,
+        observed_len_bucket=obs, mc_draws=1_000, calibration_samples=1, seed=0))
+"""
+
+
+def test_concurrent_writers_lose_no_entry(tmp_path):
+    path, start = tmp_path / "c.json", tmp_path / "start"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(Path(cache_module.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])}
+    writers = [subprocess.Popen([sys.executable, "-W", "error", "-c", WRITER, str(path),
+                                 str(part), str(start)], env=env) for part in (0, 1)]
+    start.touch()
+    assert [w.wait(timeout=120) for w in writers] == [0, 0]
+    doc = json.loads(path.read_text())
+    assert len(doc["entries"]) == 216
+    assert len({(e["operator"], e["entries_per_vector"], e["observed_len_bucket"])
+                for e in doc["entries"]}) == 216
 
 
 class TestCorruption:

@@ -1,7 +1,9 @@
 import itertools
 import math
+import sys
 import time
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -21,6 +23,7 @@ from digit_forensics import (
     normalize_score,
     score_groups,
 )
+from digit_forensics import scoring
 from digit_forensics.reference import ReferenceDistribution
 from digit_forensics.scoring import ks_tail
 
@@ -199,10 +202,59 @@ class TestKsPValue:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert time.perf_counter() - started < 30.0
         assert 0.0 < near_cutoff <= 2 * math.exp(-38.0)
         assert 1.0 - far_out.p_value == 1.0
         assert peak < 64 * 2 ** 20
+        # Each band spans O(sqrt(n)) states; arrays over all 9 x (n + 1)
+        # states would peak near 25 MB at n = 100 000.
+        total = 100_000
+        tracemalloc.start()
+        try:
+            inside_cutoff = ks_tail(total, pmf, 0.9 * math.sqrt(19.1 / total))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert time.perf_counter() - started < 30.0
+        assert 0.0 < inside_cutoff < 1e-12
+        assert peak <= 16 * 2 ** 20
+
+    def test_threads_growing_the_shared_log_factorials_agree(self, monkeypatch):
+        # Every call may grow the shared table from empty while the others
+        # read it; each must still see the values a lone call computes.
+        pmf = np.asarray(benford_pmf())
+        totals = [3000, 5, 800, 50, 2000, 1, 400, 1500]
+        distances = [0.8 * math.sqrt(19.1 / n) for n in totals]
+        expected = [ks_tail(n, pmf, d) for n, d in zip(totals, distances)]
+
+        def tails(order):
+            return {i: ks_tail(totals[i], pmf, distances[i]) for i in order}
+
+        monkeypatch.setattr(scoring, "_LOG_FACT", np.empty(0))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                runs = [pool.submit(tails, order) for order in (
+                    range(8), range(7, -1, -1), [1, 3, 5, 7, 0, 2, 4, 6], [6, 4, 2, 0, 7, 5, 3, 1])]
+                results = [run.result(timeout=120) for run in runs]
+        finally:
+            sys.setswitchinterval(interval)
+        for got in results:
+            assert [got[i] for i in range(8)] == expected
+
+    @pytest.mark.parametrize("total", [10.7, 10.0, "10", None])
+    def test_rejects_a_total_that_is_not_an_integer(self, total):
+        with pytest.raises(ValueError, match="total must be an integer"):
+            ks_tail(total, benford_pmf(), 0.2)
+
+    def test_accepts_numpy_integer_totals(self):
+        pmf = benford_pmf()
+        assert ks_tail(np.int64(50), pmf, 0.1) == ks_tail(50, pmf, 0.1)
+        assert ks_tail(np.int32(7), pmf, 0.3) == ks_tail(7, pmf, 0.3)
+
+    def test_rejects_a_nan_statistic(self):
+        with pytest.raises(ValueError, match="statistic"):
+            ks_tail(50, benford_pmf(), float("nan"))
 
 
 class TestNormalizeScore:
