@@ -30,8 +30,7 @@ def extract_digits(values: np.ndarray) -> tuple[np.ndarray, int]:
     Signs are ignored; zeros and non-finite entries are skipped.
     """
     values = np.asarray(values, dtype=float)
-    usable = np.isfinite(values) & (values != 0.0)
-    a = np.abs(values[usable])
+    a = np.abs(values[_usable(values)])
     skipped = int(values.size - a.size)
     if a.size == 0:
         return np.empty(0, dtype=np.int64), skipped
@@ -55,6 +54,11 @@ def extract_digits(values: np.ndarray) -> tuple[np.ndarray, int]:
     return digits, skipped
 
 
+def _usable(values: np.ndarray) -> np.ndarray:
+    """Entries that have a leading digit: finite and non-zero."""
+    return np.isfinite(values) & (values != 0.0)
+
+
 def _exact_digit(a: float) -> int:
     """Leading digit by exact rational comparison; a > 0 and finite."""
     value = Fraction(a)
@@ -69,20 +73,17 @@ def _exact_digit(a: float) -> int:
 class DigitHistogram:
     """Counts of leading digits 1..9 (``counts[d - 1]`` is the count for d)."""
 
-    __slots__ = ("counts",)
+    __slots__ = ("counts", "total")
 
     def __init__(self, counts):
         arr = np.array(counts, dtype=np.int64)
         if arr.shape != (9,):
             raise ValueError(f"expected 9 digit counts, got shape {arr.shape}")
-        if np.any(arr < 0):
+        if arr.min() < 0:
             raise ValueError("digit counts must be non-negative")
         arr.setflags(write=False)
         self.counts = arr
-
-    @property
-    def total(self) -> int:
-        return int(self.counts.sum())
+        self.total = int(np.add.reduce(arr))
 
     def __repr__(self):
         return f"DigitHistogram({self.counts.tolist()})"
@@ -97,6 +98,24 @@ def histogram(values) -> tuple[DigitHistogram, int]:
     arr = np.asarray(values, dtype=float).ravel()
     digits, skipped = extract_digits(arr)
     return DigitHistogram(np.bincount(digits, minlength=10)[1:10]), skipped
+
+
+def histograms(groups) -> list[tuple[DigitHistogram, int]]:
+    """``histogram`` of each group, from one digit pass over all of them.
+
+    Digits are exact per value, so extracting the concatenated groups
+    gives each group the histogram and skipped count it gets alone.
+    """
+    arrays = [np.asarray(values, dtype=float).ravel() for values in groups]
+    if not arrays:
+        return []
+    sizes = [a.size for a in arrays]
+    flat = np.concatenate(arrays)
+    digits, _ = extract_digits(flat)
+    owner = np.repeat(np.arange(len(arrays)), sizes)[_usable(flat)]
+    counts = np.bincount(owner * 10 + digits, minlength=10 * len(arrays)).reshape(-1, 10)
+    hists = [DigitHistogram(row[1:]) for row in counts]
+    return [(hist, size - hist.total) for hist, size in zip(hists, sizes)]
 
 
 def check_pmf(probs) -> np.ndarray:

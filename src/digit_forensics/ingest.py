@@ -172,11 +172,13 @@ def compute_stats(dataset: DatasetMatrix, pair_cap: int = DEFAULT_PAIR_CAP,
     f = dataset.n_features
     if f < 1:
         raise NoNumericColumns(f"{dataset.name}: dataset has no feature columns")
-    block = np.stack([col for _, col in dataset.columns])
+    block = np.array([col for _, col in dataset.columns])
     n = block.shape[1]
     finite = np.isfinite(block)
     complete = bool(finite.all())
     features = row_moments(block, None if complete else finite)
+    if complete:
+        squares = features.sum_squares()
     regressors, responses = np.nonzero(~np.eye(f, dtype=bool))
     if regressors.size > pair_cap:
         gen = rngmod.substream(pair_seed, rngmod.STREAM_PAIRS)
@@ -186,13 +188,16 @@ def compute_stats(dataset: DatasetMatrix, pair_cap: int = DEFAULT_PAIR_CAP,
     step = max(1, _BLOCK_CELLS // max(1, n))
     for start in range(0, regressors.size, step):
         j, k = regressors[start:start + step], responses[start:start + step]
-        # Without blanks the features' own moments serve every pair.
+        # Without blanks the features' own moments and sums of squares
+        # serve every pair.
         if complete:
-            x, y = (RowMoments(n, features.mean[r], features.dev[r]) for r in (j, k))
+            x, y = (RowMoments(n, features.mean.take(r), features.dev.take(r, axis=0))
+                    for r in (j, k))
+            slopes[start:start + step] = x.slope(y, squares.take(j))
         else:
             paired = finite[j] & finite[k]
             x, y = row_moments(block[j], paired), row_moments(block[k], paired)
-        slopes[start:start + step] = x.slope(y)
+            slopes[start:start + step] = x.slope(y)
     flat = np.isnan(slopes)
     degenerate = tuple(zip(regressors[flat].tolist(), responses[flat].tolist()))
     if degenerate:

@@ -9,8 +9,10 @@ conforming samples) before they can score anything.
 """
 from __future__ import annotations
 
+import bisect
+import functools
 import logging
-import math
+import operator
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -54,16 +56,28 @@ _CHUNK_CELLS = 2_000_000
 _SUB_CELLS = 1 << 18
 
 
+# n is nearer to bucket b_i than to b_(i+1) by log distance exactly when
+# n * n <= b_i * b_(i+1). No product here is a perfect square, so no
+# integer size is a tie.
+_BUCKET_BOUNDS = tuple(lo * hi for lo, hi in zip(SIZE_BUCKETS, SIZE_BUCKETS[1:]))
+
+
 def size_bucket(n: int) -> int:
     """Snap a sample size to the nearest bucket by log distance.
 
-    Ties resolve to the smaller bucket; sizes beyond the largest bucket
-    snap down to it.
+    Sizes beyond the largest bucket snap down to it. ``n`` must be an
+    integer >= 1 (numpy integers too); a bool or a float is refused with
+    ValueError, even a whole one.
     """
+    if isinstance(n, bool):
+        raise ValueError(f"sample size must be an integer, got {n!r}")
+    try:
+        n = operator.index(n)
+    except TypeError:
+        raise ValueError(f"sample size must be an integer, got {n!r}") from None
     if n < 1:
         raise ValueError(f"sample size must be >= 1, got {n}")
-    logs = np.abs(np.log(np.asarray(SIZE_BUCKETS, dtype=float)) - math.log(n))
-    return SIZE_BUCKETS[int(np.argmin(logs))]
+    return SIZE_BUCKETS[bisect.bisect_left(_BUCKET_BOUNDS, n * n)]
 
 
 def _check_knobs(seed: int, mc_draws: int, calibration_samples: int = 1, **sizes: int) -> None:
@@ -136,7 +150,7 @@ class ReferenceDistribution:
                      entries_per_vector=self.entries_per_vector,
                      observed_len_bucket=self.observed_len_bucket)
 
-    @property
+    @functools.cached_property
     def key(self) -> ReferenceKey:
         return ReferenceKey(self.operator.value, self.entries_per_vector,
                             self.observed_len_bucket)

@@ -8,14 +8,15 @@ normalised against the reference's calibration floor.
 """
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Mapping
+from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple
 
 import numpy as np
 
-from .digits import DigitHistogram, check_pmf, histogram
+from .digits import DigitHistogram, check_pmf, histograms
 from .errors import EmptyHistogram, NoUsableOutcomes
 from .operators import OPERATOR_ORDER, OperatorKind
 
@@ -82,14 +83,55 @@ def _cdf_gaps(cumulative, total, ref_cdf) -> np.ndarray:
     return np.abs(cumulative / total - ref_cdf)
 
 
+class _Law(NamedTuple):
+    """What the KS distance and tail need of a pmf alone, for all nine cells.
+
+    q_k = p_k / (1 - F_{k-1}) is the chance that a draw not in cells
+    before k lands in k (1 at the last cell); a step is live when
+    0 < q_k < 1, and only then are its logs taken (0.0 otherwise).
+    """
+
+    cdf: np.ndarray
+    qs: tuple[float, ...]
+    live: tuple[bool, ...]
+    log_q: np.ndarray  # (9, 1)
+    log_p: np.ndarray  # (9, 1), log(1 - q_k)
+
+
+def _law(ref_pmf) -> _Law:
+    """The checked pmf's terms, built once per distinct pmf (by its bytes)."""
+    pmf = np.asarray(ref_pmf, dtype=float)
+    return _law_terms(pmf.shape, pmf.tobytes())
+
+
+@functools.lru_cache(maxsize=64)
+def _law_terms(shape: tuple, raw: bytes) -> _Law:
+    pmf = check_pmf(np.frombuffer(raw).reshape(shape))
+    cdf = pmf.cumsum()
+    probs, remaining = pmf.tolist(), pmf[::-1].cumsum()[::-1].tolist()
+    qs = tuple(1.0 if k == 8 or remaining[k] <= 0.0 else min(probs[k] / remaining[k], 1.0)
+               for k in range(9))
+    live = tuple(0.0 < q < 1.0 for q in qs)
+    log_q = np.array([math.log(q) if ok else 0.0 for q, ok in zip(qs, live)])[:, None]
+    log_p = np.array([math.log1p(-q) if ok else 0.0 for q, ok in zip(qs, live)])[:, None]
+    for arr in (cdf, log_q, log_p):
+        arr.flags.writeable = False
+    return _Law(cdf, qs, live, log_q, log_p)
+
+
+def _distances(counts: np.ndarray, totals, cdf: np.ndarray) -> np.ndarray:
+    """D along the last axis: ``np.max`` of the gaps over ``np.cumsum``, by their ufuncs."""
+    return np.maximum.reduce(_cdf_gaps(np.add.accumulate(counts, axis=-1), totals, cdf),
+                             axis=-1)
+
+
 def ks_distances(counts, ref_pmf) -> np.ndarray:
     """D for each histogram along the last axis of ``counts`` (9 cells)."""
     counts = np.asarray(counts, dtype=np.int64)
     totals = counts.sum(axis=-1, keepdims=True)
     if np.any(totals == 0):
         raise EmptyHistogram("cannot compare an empty histogram")
-    ref_cdf = np.cumsum(check_pmf(ref_pmf))
-    return np.max(_cdf_gaps(np.cumsum(counts, axis=-1), totals, ref_cdf), axis=-1)
+    return _distances(counts, totals, _law(ref_pmf).cdf)
 
 
 def ks_discrete(observed: DigitHistogram, ref_pmf) -> float:
@@ -131,7 +173,7 @@ def ks_tail(total: int, ref_pmf, statistic: float) -> float:
     ``tests/test_ks_tail_oracle.py`` checks that against a copy of it.
     ``total`` must be an integer and ``statistic`` a number (ValueError).
     """
-    pmf = check_pmf(ref_pmf)
+    law = _law(ref_pmf)
     try:
         n = operator.index(total)
     except TypeError:
@@ -141,6 +183,11 @@ def ks_tail(total: int, ref_pmf, statistic: float) -> float:
     d = float(statistic)
     if math.isnan(d):
         raise ValueError("statistic must be a number, got NaN")
+    return _tail(n, law, d)
+
+
+def _tail(n: int, law: _Law, d: float) -> float:
+    """``ks_tail`` for a checked count n >= 1 and a number d."""
     if d <= 0.0:
         return 1.0  # no state is inside the first band
     dkw = 2.0 * math.exp(-2.0 * n * d * d)
@@ -150,12 +197,12 @@ def ks_tail(total: int, ref_pmf, statistic: float) -> float:
     # Every band, from one window per cell that holds it with a state to
     # spare on each side: |S_k - n*F_k| < n*d up to rounding. A band is
     # contiguous, because S/n - F_k rises with S.
-    ref_cdf = pmf.cumsum()
+    ref_cdf = law.cdf
     half = math.ceil(n * min(d, 1.0)) + 2
     width = min(n + 1, 2 * half + 1)
     base = np.minimum(np.maximum((n * ref_cdf).astype(np.int64) - half, 0), n + 1 - width)
     inside = _cdf_gaps(base[:, None] + np.arange(width), n, ref_cdf[:, None]) < d
-    counts = inside.sum(axis=1).tolist()
+    counts = np.add.reduce(inside, axis=1).tolist()
     steps = counts.index(0) if 0 in counts else 9
     if not steps:
         return 1.0
@@ -163,27 +210,24 @@ def ks_tail(total: int, ref_pmf, statistic: float) -> float:
     lasts = [first + count - 1 for first, count in zip(firsts, counts)]
 
     # Step k carries band k-1 (state 0 before the first) to the targets
-    # around band k, out to ``reach`` states on each side. Beyond its mode a binomial term shrinks by exp(-2*j**2/(n+2)) over j
-    # steps. Every source's mode lies within a cell of the next band, so
-    # terms farther than this outside the band are below 1e-35 of the
-    # boundary term and dropping them costs no relative precision.
+    # around band k, out to ``reach`` states on each side. Beyond its mode
+    # a binomial term shrinks by exp(-2*j**2/(n+2)) over j steps. Every
+    # source's mode lies within a cell of the next band, so terms farther
+    # than this outside the band are below 1e-35 of the boundary term and
+    # dropping them costs no relative precision.
     reach = math.ceil(math.sqrt(40.0 * (n + 2)))
     src_lo = [0] + firsts[:-1]
     src_size = [1] + counts[:steps - 1]
     t_lo = [max(lo, first - reach) for lo, first in zip(src_lo, firsts)]
     t_size = [min(n, last + reach) - low + 1 for low, last in zip(t_lo, lasts)]
-    probs, remaining = pmf.tolist(), pmf[::-1].cumsum()[::-1].tolist()
-    qs = [1.0 if k == 8 or remaining[k] <= 0.0 else min(probs[k] / remaining[k], 1.0)
-          for k in range(steps)]
-    live = [0.0 < q < 1.0 for q in qs]
+    qs, live = law.qs, law.live
 
     # P(S_k = t | S_{k-1} = s) = C(n-s, t-s) q^(t-s) (1-q)^(n-t); its log
     # splits into a source term, a target term and log (t-s)!. Each is one
     # row per step, padded to the widest; a degenerate step's row is unused,
     # and so is padding, which reads a clipped index.
     log_fact = _log_factorials(n)
-    log_q = np.array([math.log(q) if ok else 0.0 for q, ok in zip(qs, live)])[:, None]
-    log_p = np.array([math.log1p(-q) if ok else 0.0 for q, ok in zip(qs, live)])[:, None]
+    log_q, log_p = law.log_q[:steps], law.log_p[:steps]
     wide_s, wide_t = max(src_size), max(t_size)
     span = np.arange(wide_s + wide_t - 1)
     anchors = np.array([src_lo, t_lo])[:, :, None]
@@ -202,7 +246,7 @@ def ks_tail(total: int, ref_pmf, statistic: float) -> float:
                           gap_fact.strides + gap_fact.strides[1:])
     toeplitz.flags.writeable = False
 
-    mass, left = np.ones(1), 0.0
+    mass, left = np.array([1.0]), 0.0
     for k in range(steps):
         size_s, size_t = src_size[k], t_size[k]
         # Degenerate steps. With q = 0 every count stays put, and F_k equals
@@ -228,10 +272,10 @@ def ks_tail(total: int, ref_pmf, statistic: float) -> float:
                 else:
                     step = mass[:rows] @ block
         first, last = firsts[k] - t_lo[k], lasts[k] - t_lo[k]
-        left += float(step[:first].sum()) + float(step[last + 1:].sum())
+        left += float(np.add.reduce(step[:first])) + float(np.add.reduce(step[last + 1:]))
         mass = step[first:last + 1]
     if steps < 9:
-        return min(left + float(mass.sum()), 1.0)
+        return min(left + float(np.add.reduce(mass)), 1.0)
     return min(left, 1.0)
 
 
@@ -241,9 +285,12 @@ def ks_p_value(observed: DigitHistogram, ref_pmf) -> KsResult:
     p = P(D >= observed D). Ties count against the observation, so p is
     never below the probability of the observed histogram itself.
     """
-    statistic = ks_discrete(observed, ref_pmf)
-    return KsResult(statistic=statistic,
-                    p_value=ks_tail(observed.total, ref_pmf, statistic))
+    n = observed.total
+    if n == 0:
+        raise EmptyHistogram("cannot compare an empty histogram")
+    law = _law(ref_pmf)
+    statistic = float(_distances(observed.counts, n, law.cdf))
+    return KsResult(statistic=statistic, p_value=_tail(n, law, statistic))
 
 
 def normalize_score(raw: float, floor: float) -> float:
@@ -267,7 +314,9 @@ def aggregate(outcomes: Iterable) -> AggregateOutcome:
             f"{o.operator.value}: {o.usable} usable of {o.required} required"
             for o in left_out) or "no statistic groups present"
         raise NoUsableOutcomes(detail)
-    overall = float(np.mean([o.normalized_score for o in usable]))
+    # np.mean's own sum and division, without its wrapper
+    overall = float(np.add.reduce([o.normalized_score for o in usable], dtype=float)
+                    / len(usable))
     return AggregateOutcome(per_operator=usable, overall=overall,
                             insufficient=left_out)
 
@@ -288,11 +337,9 @@ def score_groups(groups: Mapping, entries_per_vector: int, store: "ReferenceStor
     touching the store.
     """
     normalized = {OperatorKind.from_name(key): values for key, values in groups.items()}
+    present = [op for op in OPERATOR_ORDER if op in normalized]
     outcomes = []
-    for op in OPERATOR_ORDER:
-        if op not in normalized:
-            continue
-        hist, skipped = histogram(normalized[op])
+    for op, (hist, skipped) in zip(present, histograms(normalized[op] for op in present)):
         if hist.total < min_samples:
             outcomes.append(InsufficientData(op, usable=hist.total, required=min_samples,
                                              skipped=skipped))

@@ -8,11 +8,12 @@ from digit_forensics import (
     DigitHistogram,
     EmptyHistogram,
     benford_pmf,
+    digits,
     extract_digits,
     histogram,
 )
-from digit_forensics.digits import check_pmf
-from digit_forensics.scoring import ks_distances
+from digit_forensics.digits import check_pmf, histograms
+from digit_forensics.scoring import DEFAULT_MIN_SAMPLES, ks_distances
 
 
 def leading_digit(x: float) -> int:
@@ -166,6 +167,38 @@ def one_digit(d: int) -> np.ndarray:
     counts = np.zeros(9, dtype=np.int64)
     counts[d - 1] = 1
     return counts
+
+
+class TestHistograms:
+    """One digit pass over a source's groups gives each group its histogram()."""
+
+    GROUPS = [
+        [0.0, -0.0, 3.5, -7.25],
+        [float("nan"), float("inf"), -float("inf"), 12.0],
+        [5e-324, -2.5e-310, 1e-320, 4.9e-308],  # subnormals
+        # within 1e-12 of a digit boundary, so the exact rule decides
+        [math.nextafter(2.0, 0.0), math.nextafter(3.0, 4.0), 1e23, 0.3],
+        [],
+        [0.0, float("nan"), -float("inf")],  # nothing usable
+        [1.5, -2.5, 3.5, 40.5, 0.055] + [0.0] * 3,  # exactly the minimum usable
+        [[1.0, 2.0], [30.0, 0.0]],  # nested, flattened like histogram()
+    ]
+
+    def test_each_group_gets_its_own_histogram(self, monkeypatch):
+        exact = []
+        real = digits._exact_digit
+        monkeypatch.setattr(digits, "_exact_digit", lambda a: exact.append(a) or real(a))
+        fused = histograms(self.GROUPS)
+        assert len(exact) >= 4
+        assert len(fused) == len(self.GROUPS)
+        for (hist, skipped), group in zip(fused, self.GROUPS):
+            alone, alone_skipped = histogram(group)
+            assert hist.counts.tolist() == alone.counts.tolist(), group
+            assert (hist.total, skipped) == (alone.total, alone_skipped), group
+        assert fused[6][0].total == DEFAULT_MIN_SAMPLES
+
+    def test_no_groups(self):
+        assert histograms([]) == []
 
 
 class TestCdf:

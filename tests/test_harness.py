@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from digit_forensics import (
     DegenerateInput,
     NoiseSpec,
     OperatorKind,
+    ReferenceStore,
     ReportedStats,
     build_flag_table,
     compute_stats,
@@ -224,6 +227,32 @@ class TestRunValidation:
         assert result.f1_per_class == f1
         assert [r.name for r in result.per_dataset] == sorted(
             r.name for r in result.per_dataset)
+
+
+# sha256 over name, float.hex(overall) and decision of every scored dataset,
+# then name and reason of every exclusion, in test_validation_is_pinned;
+# recorded with numpy 2.4.6. It is the same with numpy's AVX-512 paths
+# switched off (NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR"):
+# the corpus bits move there, but no score or decision does.
+PINNED_VALIDATION_DIGEST = "4b317cdda399c7fe081ac71ecfab1ec448c80777fd6422d090b9ac9ebdba29fd"
+
+
+def test_validation_is_pinned():
+    """Every score, decision and exclusion of a default-knob screen stays fixed.
+
+    A change that keeps results must keep this digest.
+    """
+    thin = [DatasetMatrix(f"thin-{i}", [("c", np.array([1.0, 2.0, 3.0]) * (i + 1))])
+            for i in range(2)]
+    result = run_validation(synthetic_corpus(20, seed=1) + thin, NoiseSpec(seed=1),
+                            store=ReferenceStore(seed=1729), seed=1)
+    assert len(result.per_dataset) == 20 and len(result.excluded) == 2
+    digest = hashlib.sha256()
+    for row in result.per_dataset:
+        digest.update(f"{row.name}\0{row.overall.hex()}\0{row.decision}\0".encode())
+    for name, reason in result.excluded:
+        digest.update(f"{name}\0{reason}\0".encode())
+    assert digest.hexdigest() == PINNED_VALIDATION_DIGEST
 
 
 class TestFlagTable:

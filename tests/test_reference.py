@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import inspect
 import logging
+import re
 import sys
 import threading
 import tracemalloc
@@ -54,6 +55,30 @@ class TestSizeBucket:
             size_bucket(0)
         with pytest.raises(ValueError):
             size_bucket(-3)
+
+    @pytest.mark.parametrize("n", [10.7, 10.0, True, np.float64(15.0), "10", None],
+                             ids=["10.7", "10.0", "True", "float64", "str", "None"])
+    def test_rejects_a_size_that_is_not_an_integer(self, n):
+        message = f"sample size must be an integer, got {n!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            size_bucket(n)
+
+    def test_accepts_numpy_integers(self):
+        assert size_bucket(np.int64(15)) == size_bucket(15) == 20
+        assert size_bucket(np.int32(7)) == size_bucket(7) == 5
+
+    def test_matches_the_log_distance_rule(self):
+        sizes = np.arange(1, 10_001)
+        gaps = np.abs(np.log(np.asarray(SIZE_BUCKETS, dtype=float))[:, None] - np.log(sizes))
+        expected = np.asarray(SIZE_BUCKETS)[gaps.argmin(axis=0)]
+        assert [size_bucket(int(n)) for n in sizes] == expected.tolist()
+
+    def test_store_checks_sizes_before_its_memo(self, small_store):
+        small_store.get(OperatorKind.MEAN, 10, 20)
+        with pytest.raises(ValueError, match="got 10.0"):
+            small_store.get(OperatorKind.MEAN, 10.0, 20)
+        with pytest.raises(ValueError, match="got True"):
+            small_store.get(OperatorKind.MEAN, 10, True)
 
 
 class TestSynthesisConfig:

@@ -23,7 +23,7 @@ from digit_forensics import (
     normalize_score,
     score_groups,
 )
-from digit_forensics import scoring
+from digit_forensics import digits, histogram, scoring
 from digit_forensics.reference import ReferenceDistribution
 from digit_forensics.scoring import ks_tail
 
@@ -414,6 +414,24 @@ class TestScoreGroups:
 
         with pytest.raises(NoUsableOutcomes, match="mean: 4 usable of 5"):
             score_groups({"mean": [1.0, 2.0, 3.0, 4.0]}, 10, NoStore())
+
+    def test_one_digit_pass_per_source(self, monkeypatch):
+        sizes = []
+        real = digits.extract_digits
+        monkeypatch.setattr(digits, "extract_digits",
+                            lambda values: sizes.append(np.size(values)) or real(values))
+        groups = {"ols_slope": [0.12, -3.4, 5e-324, float("nan"), 7.7, 81.0, 0.9],
+                  "mean": [1.2, 2.3, 0.0, 3.4, 4.5, 9.6],
+                  "std": [1.0, float("inf"), 2.0]}
+        store = OneRefStore(make_ref())
+        result = score_groups(groups, 10, store)
+        assert sizes == [16]
+        by_op = {o.operator.value: (o.sample_count, o.skipped) for o in result.per_operator}
+        by_op.update({o.operator.value: (o.usable, o.skipped) for o in result.insufficient})
+        for name, values in groups.items():
+            hist, skipped = histogram(values)
+            assert by_op[name] == (hist.total, skipped)
+        assert store.calls == [(OperatorKind.MEAN, 10, 5), (OperatorKind.OLS_SLOPE, 10, 6)]
 
     def test_deterministic(self, small_store):
         groups = {"mean": [1.2, 2.3, 3.4, 4.5, 9.6, 1.7],
