@@ -95,9 +95,7 @@ def histogram(values) -> tuple[DigitHistogram, int]:
     Zeros and non-finite entries are skipped, never silently dropped:
     ``histogram(v)[0].total + histogram(v)[1] == len(v)``.
     """
-    arr = np.asarray(values, dtype=float).ravel()
-    digits, skipped = extract_digits(arr)
-    return DigitHistogram(np.bincount(digits, minlength=10)[1:10]), skipped
+    return histograms([values])[0]
 
 
 def histograms(groups) -> list[tuple[DigitHistogram, int]]:

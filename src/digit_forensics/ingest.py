@@ -12,7 +12,7 @@ import numpy as np
 
 from . import rng as rngmod
 from .errors import MalformedCsv, NoNumericColumns, SchemaViolation
-from .operators import OperatorKind, RowMoments, row_moments
+from .operators import OperatorKind, row_moments
 
 logger = logging.getLogger(__name__)
 
@@ -172,13 +172,12 @@ def compute_stats(dataset: DatasetMatrix, pair_cap: int = DEFAULT_PAIR_CAP,
     f = dataset.n_features
     if f < 1:
         raise NoNumericColumns(f"{dataset.name}: dataset has no feature columns")
-    block = np.array([col for _, col in dataset.columns])
+    block = np.stack([col for _, col in dataset.columns])
     n = block.shape[1]
     finite = np.isfinite(block)
     complete = bool(finite.all())
     features = row_moments(block, None if complete else finite)
-    if complete:
-        squares = features.sum_squares()
+    squares = features.sum_squares()
     regressors, responses = np.nonzero(~np.eye(f, dtype=bool))
     if regressors.size > pair_cap:
         gen = rngmod.substream(pair_seed, rngmod.STREAM_PAIRS)
@@ -191,9 +190,10 @@ def compute_stats(dataset: DatasetMatrix, pair_cap: int = DEFAULT_PAIR_CAP,
         # Without blanks the features' own moments and sums of squares
         # serve every pair.
         if complete:
-            x, y = (RowMoments(n, features.mean.take(r), features.dev.take(r, axis=0))
-                    for r in (j, k))
-            slopes[start:start + step] = x.slope(y, squares.take(j))
+            dev = features.dev
+            with np.errstate(divide="ignore", invalid="ignore"):
+                slopes[start:start + step] = ((dev.take(j, axis=0) * dev.take(k, axis=0))
+                                              .sum(axis=1) / squares.take(j))
         else:
             paired = finite[j] & finite[k]
             x, y = row_moments(block[j], paired), row_moments(block[k], paired)
@@ -203,7 +203,10 @@ def compute_stats(dataset: DatasetMatrix, pair_cap: int = DEFAULT_PAIR_CAP,
     if degenerate:
         logger.info("%s: %d degenerate slope pairs skipped", dataset.name,
                     len(degenerate))
-    return ComputedStats(means=features.mean, stds=features.std(), slopes=slopes[~flat],
+    # RowMoments.std, on the sums of squares already held
+    with np.errstate(divide="ignore", invalid="ignore"):
+        stds = np.sqrt(squares / np.maximum(features.count - 1, 0))
+    return ComputedStats(means=features.mean, stds=stds, slopes=slopes[~flat],
                          slope_pairs=tuple(zip(regressors[~flat].tolist(),
                                                responses[~flat].tolist())),
                          degenerate_pairs=degenerate)

@@ -57,15 +57,10 @@ class RowMoments(NamedTuple):
         with np.errstate(divide="ignore", invalid="ignore"):
             return np.sqrt(self.sum_squares() / np.maximum(self.count - 1, 0))
 
-    def slope(self, response: "RowMoments", squares: np.ndarray | None = None) -> np.ndarray:
-        """sum(xc * yc) / sum(xc**2): NaN for a flat regressor, 0.0 for a flat response.
-
-        ``squares`` is ``self.sum_squares()`` when the caller already has it.
-        """
-        if squares is None:
-            squares = self.sum_squares()
+    def slope(self, response: "RowMoments") -> np.ndarray:
+        """sum(xc * yc) / sum(xc**2): NaN for a flat regressor, 0.0 for a flat response."""
         with np.errstate(divide="ignore", invalid="ignore"):
-            return (self.dev * response.dev).sum(axis=1) / squares
+            return (self.dev * response.dev).sum(axis=1) / self.sum_squares()
 
 
 def row_means(x: np.ndarray) -> np.ndarray:

@@ -171,9 +171,12 @@ def ks_tail(total: int, ref_pmf, statistic: float) -> float:
     Every p-value is bit-identical to the step-by-step engine this one
     replaced: the same float expressions, matrix shapes and BLAS calls.
     ``tests/test_ks_tail_oracle.py`` checks that against a copy of it.
-    ``total`` must be an integer and ``statistic`` a number (ValueError).
+    ``total`` must be an integer, not a bool, and ``statistic`` a number
+    (ValueError).
     """
     law = _law(ref_pmf)
+    if isinstance(total, bool):
+        raise ValueError(f"total must be an integer count, got {total!r}")
     try:
         n = operator.index(total)
     except TypeError:

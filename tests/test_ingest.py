@@ -187,6 +187,12 @@ class TestComputeStats:
         with pytest.raises(ValueError):
             compute_stats(matrix([1, 2, 3]), pair_cap=-1)
 
+    def test_rejects_ragged_columns(self):
+        ragged = DatasetMatrix(name="ragged", columns=[("a", np.array([1.0, 2.0, 3.0])),
+                                                       ("b", np.array([1.0, 2.0]))])
+        with pytest.raises(ValueError):
+            compute_stats(ragged)
+
     def test_column_with_no_finite_cell(self):
         nan = float("nan")
         stats = compute_stats(matrix([nan, nan, nan], [1, 2, 4]))

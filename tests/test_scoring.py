@@ -242,7 +242,7 @@ class TestKsPValue:
         for got in results:
             assert [got[i] for i in range(8)] == expected
 
-    @pytest.mark.parametrize("total", [10.7, 10.0, "10", None])
+    @pytest.mark.parametrize("total", [10.7, 10.0, "10", None, True])
     def test_rejects_a_total_that_is_not_an_integer(self, total):
         with pytest.raises(ValueError, match="total must be an integer"):
             ks_tail(total, benford_pmf(), 0.2)
