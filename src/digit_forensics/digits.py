@@ -71,12 +71,15 @@ def _exact_digit(a: float) -> int:
 
 
 class DigitHistogram:
-    """Counts of leading digits 1..9 (``counts[d - 1]`` is the count for d)."""
+    """Integer counts of leading digits 1..9 (``counts[d - 1]`` is the count for d)."""
 
     __slots__ = ("counts", "total")
 
     def __init__(self, counts):
-        arr = np.array(counts, dtype=np.int64)
+        arr = np.array(counts)
+        if arr.dtype.kind not in "iu":
+            raise ValueError(f"digit counts must be integers, got dtype {arr.dtype}")
+        arr = arr.astype(np.int64, copy=False)
         if arr.shape != (9,):
             raise ValueError(f"expected 9 digit counts, got shape {arr.shape}")
         if arr.min() < 0:

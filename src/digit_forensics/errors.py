@@ -1,4 +1,5 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and its one integer rule."""
+import operator
 
 
 class DigitForensicsError(Exception):
@@ -54,3 +55,21 @@ class SchemaViolation(DigitForensicsError, ValueError):
 
 class UnknownOperator(DigitForensicsError, ValueError):
     """A statistic group name does not match any recognised operator."""
+
+
+def as_count(value, name: str, lowest: int | None = None) -> int:
+    """``value`` as an int: the one rule for every count, size and seed taken.
+
+    Refuses a bool, a float (even a whole one), a non-number or a value below
+    ``lowest`` with ValueError naming ``name``; numpy integers come back as ints.
+    """
+    if isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    try:
+        n = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if lowest is not None and n < lowest:
+        limit = "non-negative" if lowest == 0 else f">= {lowest}"
+        raise ValueError(f"{name} must be {limit}, got {n}")
+    return n

@@ -9,7 +9,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from . import rng as rngmod
-from .errors import DegenerateInput, NoUsableOutcomes
+from .errors import DegenerateInput, NoUsableOutcomes, as_count
 from .ingest import (DEFAULT_PAIR_CAP, ComputedStats, DatasetMatrix, ReportedStats,
                      compute_stats)
 from .reference import DECADE_OFFSETS, DECADE_SPAN, ReferenceStore
@@ -44,8 +44,7 @@ class NoiseSpec:
         if not 0.0 <= self.min_fraction <= self.max_fraction < 1.0:
             raise ValueError(
                 f"need 0 <= min <= max < 1, got [{self.min_fraction}, {self.max_fraction}]")
-        if self.seed < 0:
-            raise ValueError("seed must be non-negative")
+        as_count(self.seed, "seed", 0)
 
 
 @dataclass(frozen=True)
@@ -280,10 +279,9 @@ def synthetic_corpus(count: int, seed: int, *, rows: tuple[int, int] = (20, 200)
     and the computed statistics follow the operator references by
     construction. Each range is refused unless ``1 <= low <= high``.
     """
-    if count < 0:
-        raise ValueError("count must be non-negative")
+    count = as_count(count, "count", 0)
     for name, (low, high) in (("rows", rows), ("features", features)):
-        if not 1 <= low <= high:
+        if not 1 <= as_count(low, name) <= as_count(high, name):
             raise ValueError(f"{name} must be a range (low, high) with 1 <= low <= high, "
                              f"got {(low, high)}")
     datasets = []

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 
 from . import rng as rngmod
-from .errors import MalformedCsv, NoNumericColumns, SchemaViolation
+from .errors import MalformedCsv, NoNumericColumns, SchemaViolation, as_count
 from .operators import OperatorKind, row_moments
 
 logger = logging.getLogger(__name__)
@@ -167,8 +167,7 @@ def compute_stats(dataset: DatasetMatrix, pair_cap: int = DEFAULT_PAIR_CAP,
     gives no slope, when its regressor is flat over the rows both
     features share: fewer than two such rows, or one repeated value.
     """
-    if pair_cap < 0:
-        raise ValueError("pair_cap must be non-negative")
+    pair_cap = as_count(pair_cap, "pair_cap", 0)
     f = dataset.n_features
     if f < 1:
         raise NoNumericColumns(f"{dataset.name}: dataset has no feature columns")

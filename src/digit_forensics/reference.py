@@ -12,7 +12,6 @@ from __future__ import annotations
 import bisect
 import functools
 import logging
-import operator
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -20,7 +19,7 @@ import numpy as np
 
 from . import rng as rngmod
 from .digits import check_pmf, extract_digits
-from .errors import CacheMiss, TooManySkips
+from .errors import CacheMiss, TooManySkips, as_count
 from .operators import OperatorKind, operator_index, row_means, row_moments
 from .scoring import ks_distances, ks_tail
 
@@ -32,6 +31,7 @@ DEFAULT_SEED = 1729
 DEFAULT_DRAWS = 100_000
 MIN_DRAWS = 1000
 DEFAULT_CALIBRATION_SAMPLES = 1000
+_KNOB_LIMITS = {"seed": 0, "mc_draws": MIN_DRAWS, "calibration_samples": 1}
 
 # The conforming-vector model: every entry is 10**(c + U[0, DECADE_SPAN])
 # with c a whole-decade offset drawn uniformly from DECADE_OFFSETS. An
@@ -65,32 +65,21 @@ _BUCKET_BOUNDS = tuple(lo * hi for lo, hi in zip(SIZE_BUCKETS, SIZE_BUCKETS[1:])
 def size_bucket(n: int) -> int:
     """Snap a sample size to the nearest bucket by log distance.
 
-    Sizes beyond the largest bucket snap down to it. ``n`` must be an
-    integer >= 1 (numpy integers too); a bool or a float is refused with
-    ValueError, even a whole one.
+    Sizes beyond the largest bucket snap down to it. ``n`` must be a
+    count >= 1 (``errors.as_count``).
     """
-    if isinstance(n, bool):
-        raise ValueError(f"sample size must be an integer, got {n!r}")
-    try:
-        n = operator.index(n)
-    except TypeError:
-        raise ValueError(f"sample size must be an integer, got {n!r}") from None
-    if n < 1:
-        raise ValueError(f"sample size must be >= 1, got {n}")
+    n = as_count(n, "sample size", 1)
     return SIZE_BUCKETS[bisect.bisect_left(_BUCKET_BOUNDS, n * n)]
 
 
-def _check_knobs(seed: int, mc_draws: int, calibration_samples: int = 1, **sizes: int) -> None:
-    """Refuse a knob below its limit, or any named size that is not a bucket."""
-    if mc_draws < MIN_DRAWS:
-        raise ValueError(f"mc_draws must be >= {MIN_DRAWS}")
-    if seed < 0:
-        raise ValueError("seed must be non-negative")
-    if calibration_samples < 1:
-        raise ValueError("calibration_samples must be >= 1")
-    for name, size in sizes.items():
-        if size not in SIZE_BUCKETS:
-            raise ValueError(f"{name} must be one of {SIZE_BUCKETS}, got {size!r}")
+def _check_knobs(**knobs: int) -> dict[str, int]:
+    """The named knobs as ints, each a count (``errors.as_count``) at or above
+    its limit in _KNOB_LIMITS; any other name is a size and must be a bucket."""
+    for name, value in knobs.items():
+        knobs[name] = as_count(value, name, _KNOB_LIMITS.get(name))
+        if name not in _KNOB_LIMITS and knobs[name] not in SIZE_BUCKETS:
+            raise ValueError(f"{name} must be one of {SIZE_BUCKETS}, got {value!r}")
+    return knobs
 
 
 class ReferenceKey(NamedTuple):
@@ -110,9 +99,8 @@ class SynthesisConfig:
     mc_draws: int = DEFAULT_DRAWS
 
     def __post_init__(self):
-        if self.entries_per_vector < 1:
-            raise ValueError("entries_per_vector must be >= 1")
-        _check_knobs(self.seed, self.mc_draws)
+        as_count(self.entries_per_vector, "entries_per_vector", 1)
+        _check_knobs(seed=self.seed, mc_draws=self.mc_draws)
 
 
 class GeneratedLaw(NamedTuple):
@@ -130,7 +118,8 @@ class ReferenceDistribution:
 
     ``calibration_floor`` is the worst raw score among ``calibration_samples``
     conforming samples of ``observed_len_bucket`` digits; the pmf was drawn
-    under ``mc_draws`` and ``seed``. Every value rule is checked here.
+    under ``mc_draws`` and ``seed``. Every value rule is checked here, and
+    numpy integer counts are kept as ints, so the cache can write them.
     """
 
     operator: OperatorKind
@@ -146,9 +135,11 @@ class ReferenceDistribution:
         check_pmf(self.pmf)
         if not 0.0 <= self.calibration_floor < 1.0:
             raise ValueError(f"calibration floor {self.calibration_floor!r} outside [0, 1)")
-        _check_knobs(self.seed, self.mc_draws, self.calibration_samples,
-                     entries_per_vector=self.entries_per_vector,
-                     observed_len_bucket=self.observed_len_bucket)
+        for name, value in _check_knobs(seed=self.seed, mc_draws=self.mc_draws,
+                                        calibration_samples=self.calibration_samples,
+                                        entries_per_vector=self.entries_per_vector,
+                                        observed_len_bucket=self.observed_len_bucket).items():
+            object.__setattr__(self, name, value)
 
     @functools.cached_property
     def key(self) -> ReferenceKey:
@@ -229,7 +220,7 @@ def _packaged_law(op: OperatorKind, cfg: SynthesisConfig) -> GeneratedLaw | None
     return _law_from_counts(op, cfg, np.asarray(counts, dtype=np.int64), skipped)
 
 
-def generate_reference(op: OperatorKind, cfg: SynthesisConfig) -> GeneratedLaw:
+def generate_reference(op: OperatorKind | str, cfg: SynthesisConfig) -> GeneratedLaw:
     """Monte-Carlo leading-digit law of ``op`` over synthetic vectors.
 
     A std or slope over one entry per vector does not exist, so those are
@@ -241,7 +232,9 @@ def generate_reference(op: OperatorKind, cfg: SynthesisConfig) -> GeneratedLaw:
     thread counts the previous chunk's digits; the caller then hands over
     the new chunk and drops it, so at most two chunks are alive at once.
     Counts are integer sums, so the law does not depend on the timing.
+    An unknown operator name raises UnknownOperator.
     """
+    op = OperatorKind.from_name(op)
     if op is not OperatorKind.MEAN and cfg.entries_per_vector < 2:
         raise ValueError(f"{op.value} needs entries_per_vector >= 2 (it is undefined "
                          f"over one entry), got {cfg.entries_per_vector}")
@@ -279,7 +272,7 @@ def calibrate_floor(law: GeneratedLaw, observed_len: int,
     from ``law.cfg``; same law, same floor, exactly.
     """
     cfg = law.cfg
-    _check_knobs(cfg.seed, cfg.mc_draws, null_samples,
+    _check_knobs(seed=cfg.seed, mc_draws=cfg.mc_draws, calibration_samples=null_samples,
                  entries_per_vector=cfg.entries_per_vector, observed_len=observed_len)
     gen = rngmod.substream(cfg.seed, rngmod.STREAM_CALIBRATE, operator_index(law.operator),
                            cfg.entries_per_vector, observed_len)
@@ -294,9 +287,9 @@ def calibrate_floor(law: GeneratedLaw, observed_len: int,
         entries_per_vector=cfg.entries_per_vector,
         pmf=law.pmf,
         calibration_floor=float(1.0 - ks_tail(observed_len, pmf, widest)),
-        observed_len_bucket=int(observed_len),
+        observed_len_bucket=observed_len,
         mc_draws=cfg.mc_draws,
-        calibration_samples=int(null_samples),
+        calibration_samples=null_samples,
         seed=cfg.seed,
     )
 
@@ -314,21 +307,20 @@ class ReferenceStore:
     to the cache.
     A cached entry built under another seed, draw count or calibration
     sample count is still used, with a warning that names both. The
-    knobs themselves are checked here, before any cache lookup.
+    knobs themselves are checked, as ints, before any cache lookup.
     """
 
     def __init__(self, *, seed: int, cache=None, mc_draws: int = DEFAULT_DRAWS,
                  calibration_samples: int = DEFAULT_CALIBRATION_SAMPLES):
-        _check_knobs(seed, mc_draws, calibration_samples)
-        self.seed = seed
+        self.seed, self.mc_draws, self.calibration_samples = _check_knobs(
+            seed=seed, mc_draws=mc_draws, calibration_samples=calibration_samples).values()
         self.cache = cache
-        self.mc_draws = mc_draws
-        self.calibration_samples = calibration_samples
         self._memo: dict[ReferenceKey, ReferenceDistribution] = {}
         self._laws: dict[tuple[str, int], GeneratedLaw] = {}
 
-    def get(self, op: OperatorKind, entries_per_vector: int,
+    def get(self, op: OperatorKind | str, entries_per_vector: int,
             observed_len: int) -> ReferenceDistribution:
+        op = OperatorKind.from_name(op)
         key = ReferenceKey(op.value, size_bucket(entries_per_vector),
                            size_bucket(observed_len))
         hit = self._memo.get(key)

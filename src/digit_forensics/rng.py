@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import as_count
+
 # Tags 3 and 8 are unused. Renumbering the others would change every
 # seeded reference and corpus.
 STREAM_GENERATE = 1
@@ -29,9 +31,7 @@ def fold_seed(seed: int, *path: int) -> int:
 
 
 def _entropy(seed: int, *path: int) -> list[int]:
-    parts = [int(seed), *(int(p) for p in path)]
-    if any(p < 0 for p in parts):
-        raise ValueError("seed and stream path must be non-negative integers")
+    parts = [as_count(seed, "seed", 0), *(as_count(p, "stream path", 0) for p in path)]
     # Fold the path length in so encodings are prefix-free: numpy's
     # SeedSequence treats [s, a] and [s, a, 0] as the same entropy, which
     # would let two distinct context paths share a stream.

@@ -10,14 +10,13 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple
 
 import numpy as np
 
 from .digits import DigitHistogram, check_pmf, histograms
-from .errors import EmptyHistogram, NoUsableOutcomes
+from .errors import EmptyHistogram, NoUsableOutcomes, as_count
 from .operators import OPERATOR_ORDER, OperatorKind
 
 if TYPE_CHECKING:
@@ -171,16 +170,11 @@ def ks_tail(total: int, ref_pmf, statistic: float) -> float:
     Every p-value is bit-identical to the step-by-step engine this one
     replaced: the same float expressions, matrix shapes and BLAS calls.
     ``tests/test_ks_tail_oracle.py`` checks that against a copy of it.
-    ``total`` must be an integer, not a bool, and ``statistic`` a number
-    (ValueError).
+    ``total`` must be a count (``errors.as_count``) and ``statistic`` a
+    number (ValueError); a total below 1 raises EmptyHistogram.
     """
     law = _law(ref_pmf)
-    if isinstance(total, bool):
-        raise ValueError(f"total must be an integer count, got {total!r}")
-    try:
-        n = operator.index(total)
-    except TypeError:
-        raise ValueError(f"total must be an integer count, got {total!r}") from None
+    n = as_count(total, "total")
     if n < 1:
         raise EmptyHistogram("cannot score an empty histogram")
     d = float(statistic)
@@ -336,9 +330,10 @@ def score_groups(groups: Mapping, entries_per_vector: int, store: "ReferenceStor
     ``groups`` maps operator (or its serialized name) to a sequence of
     reported values; any other key raises ``UnknownOperator``. References
     come from ``store``, keyed by ``entries_per_vector`` and each group's
-    usable digit count; groups below ``min_samples`` are reported without
-    touching the store.
+    usable digit count; groups below ``min_samples`` (a count >= 1) are
+    reported without touching the store.
     """
+    min_samples = as_count(min_samples, "min_samples", 1)
     normalized = {OperatorKind.from_name(key): values for key, values in groups.items()}
     present = [op for op in OPERATOR_ORDER if op in normalized]
     outcomes = []

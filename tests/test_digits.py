@@ -162,6 +162,18 @@ class TestHistogram:
         with pytest.raises(ValueError):
             DigitHistogram([-1, 0, 0, 0, 0, 0, 0, 0, 0])
 
+    @pytest.mark.parametrize("counts", [[1.5] * 9, [1.0] * 9, [True] * 9, ["3"] * 9],
+                             ids=["1.5", "1.0", "True", "str"])
+    def test_refuses_counts_that_are_not_integers(self, counts):
+        with pytest.raises(ValueError, match="digit counts must be integers"):
+            DigitHistogram(counts)
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.int32, np.uint8])
+    def test_accepts_numpy_integer_counts(self, dtype):
+        hist = DigitHistogram(np.arange(9, dtype=dtype))
+        assert hist.counts.dtype == np.int64
+        assert hist.counts.tolist() == list(range(9))
+
 
 def one_digit(d: int) -> np.ndarray:
     counts = np.zeros(9, dtype=np.int64)

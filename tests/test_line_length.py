@@ -1,7 +1,7 @@
-"""No line of the package or its scripts is longer than 99 characters.
+"""No line of the package, its scripts or its tests is longer than 99 characters.
 
 No linter ships with the test dependencies, so this stdlib check stands in
-for one. Tests are left out.
+for one.
 """
 from pathlib import Path
 
@@ -9,7 +9,8 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 MAX_CHARS = 99
-FILES = sorted(p for folder in ("src", "scripts") for p in (ROOT / folder).rglob("*.py"))
+FILES = sorted(p for folder in ("src", "scripts", "tests")
+               for p in (ROOT / folder).rglob("*.py"))
 
 
 def long_lines(source: str) -> list[int]:
@@ -19,7 +20,7 @@ def long_lines(source: str) -> list[int]:
 
 def test_files_are_found():
     names = {p.name for p in FILES}
-    assert {"scoring.py", "default_laws.py"} <= names
+    assert {"scoring.py", "default_laws.py", "test_line_length.py"} <= names
 
 
 @pytest.mark.parametrize("path", FILES, ids=lambda p: p.relative_to(ROOT).as_posix())

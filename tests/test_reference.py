@@ -17,6 +17,7 @@ from digit_forensics import (
     ReferenceStore,
     SynthesisConfig,
     TooManySkips,
+    UnknownOperator,
     benford_pmf,
     calibrate_floor,
     generate_reference,
@@ -301,6 +302,13 @@ class TestGenerateReference:
         b = generate_reference(OperatorKind.STD, cfg)
         assert a.pmf == b.pmf
 
+    def test_takes_an_operator_name(self):
+        cfg = SynthesisConfig(entries_per_vector=5, seed=4, mc_draws=1_000)
+        for op in OperatorKind:
+            assert generate_reference(op.value, cfg) == generate_reference(op, cfg)
+        with pytest.raises(UnknownOperator, match="'median'"):
+            generate_reference("median", cfg)
+
     def test_std_of_single_entry_aborts(self, monkeypatch):
         def no_draw(*args):
             pytest.fail("drew vectors for a law that does not exist")
@@ -439,6 +447,11 @@ class TestReferenceStore:
                               observed_len=10)
         assert ref.key == ("mean", 1, 10)
         assert 0.0 <= ref.calibration_floor < 1.0
+
+    def test_takes_an_operator_name(self, small_store):
+        assert small_store.get("std", 10, 20) is small_store.get(OperatorKind.STD, 10, 20)
+        with pytest.raises(UnknownOperator, match="'median'"):
+            small_store.get("median", 10, 20)
 
     def test_memoises(self, small_store):
         a = small_store.get(OperatorKind.MEAN, 1, 10)

@@ -235,7 +235,8 @@ class TestKsPValue:
         try:
             with ThreadPoolExecutor(max_workers=4) as pool:
                 runs = [pool.submit(tails, order) for order in (
-                    range(8), range(7, -1, -1), [1, 3, 5, 7, 0, 2, 4, 6], [6, 4, 2, 0, 7, 5, 3, 1])]
+                    range(8), range(7, -1, -1),
+                    [1, 3, 5, 7, 0, 2, 4, 6], [6, 4, 2, 0, 7, 5, 3, 1])]
                 results = [run.result(timeout=120) for run in runs]
         finally:
             sys.setswitchinterval(interval)
