@@ -56,11 +56,9 @@ from .reference import (
 from .scoring import (
     AggregateOutcome,
     InsufficientData,
-    KsResult,
     TestOutcome,
     aggregate,
     flag,
-    ks_discrete,
     ks_p_value,
     normalize_score,
     score_groups,
@@ -81,7 +79,6 @@ __all__ = [
     "EmptyHistogram",
     "FlagTable",
     "InsufficientData",
-    "KsResult",
     "MalformedCsv",
     "NoNumericColumns",
     "NoUsableOutcomes",
@@ -110,7 +107,6 @@ __all__ = [
     "generate_reference",
     "histogram",
     "inject_noise",
-    "ks_discrete",
     "ks_p_value",
     "load_csv",
     "load_report",

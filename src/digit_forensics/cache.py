@@ -21,7 +21,6 @@ import tempfile
 from pathlib import Path
 
 from .errors import CacheMiss, CorruptCache
-from .operators import OperatorKind
 from .reference import ReferenceDistribution, ReferenceKey
 
 # Version 1 files hold floors calibrated with Monte-Carlo p-values; they
@@ -135,5 +134,5 @@ def _from_entry(entry: dict) -> ReferenceDistribution:
     if any(type(p) is not float for p in entry["pmf"]):
         raise TypeError(f"pmf cells must be JSON floats, got {entry['pmf']!r}")
     fields = {name: entry[name] for name in _ENTRY_TYPES}
-    fields.update(operator=OperatorKind(entry["operator"]), pmf=tuple(entry["pmf"]))
+    fields.update(pmf=tuple(entry["pmf"]))
     return ReferenceDistribution(**fields)

@@ -18,7 +18,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import rng as rngmod
-from .digits import check_pmf, extract_digits
+from .digits import check_pmf, histogram
 from .errors import CacheMiss, TooManySkips, as_count
 from .operators import OperatorKind, operator_index, row_means, row_moments
 from .scoring import ks_distances, ks_tail
@@ -104,12 +104,19 @@ class SynthesisConfig:
 
 
 class GeneratedLaw(NamedTuple):
-    """Monte-Carlo digit law of one operator, before calibration."""
+    """Monte-Carlo digit law of one operator, before calibration: the counts
+    of leading digits 1-9 over ``cfg.mc_draws`` draws, and the draws that
+    produced no digit."""
 
     operator: OperatorKind
     cfg: SynthesisConfig
-    pmf: tuple[float, ...]
+    counts: tuple[int, ...]
     skipped_draws: int
+
+    @property
+    def pmf(self) -> tuple[float, ...]:
+        counts = np.asarray(self.counts, dtype=np.int64)
+        return tuple(float(p) for p in counts / counts.sum())
 
 
 @dataclass(frozen=True)
@@ -118,8 +125,9 @@ class ReferenceDistribution:
 
     ``calibration_floor`` is the worst raw score among ``calibration_samples``
     conforming samples of ``observed_len_bucket`` digits; the pmf was drawn
-    under ``mc_draws`` and ``seed``. Every value rule is checked here, and
-    numpy integer counts are kept as ints, so the cache can write them.
+    under ``mc_draws`` and ``seed``. Every value rule is checked here; an
+    operator name is kept as its OperatorKind and numpy integer counts as
+    ints, so the cache can write them.
     """
 
     operator: OperatorKind
@@ -132,6 +140,7 @@ class ReferenceDistribution:
     seed: int
 
     def __post_init__(self):
+        object.__setattr__(self, "operator", OperatorKind.from_name(self.operator))
         check_pmf(self.pmf)
         if not 0.0 <= self.calibration_floor < 1.0:
             raise ValueError(f"calibration floor {self.calibration_floor!r} outside [0, 1)")
@@ -177,17 +186,17 @@ def _count_digits(op: OperatorKind, drawn: list) -> tuple[np.ndarray, int]:
     """
     rows, entries = drawn[0][1].shape
     step = max(1, _SUB_CELLS // (entries * len(drawn)))
-    counts = np.zeros(10, dtype=np.int64)
+    counts = np.zeros(9, dtype=np.int64)
     skipped = 0
     for lo in range(0, rows, step):
         part = [(c[lo:lo + step], u[lo:lo + step]) for c, u in drawn]
-        digits, miss = extract_digits(_operator_outputs(op, part))
-        counts += np.bincount(digits, minlength=10)
+        hist, miss = histogram(_operator_outputs(op, part))
+        counts += hist.counts
         skipped += miss
-    return counts[1:], skipped
+    return counts, skipped
 
 
-def _law_from_counts(op: OperatorKind, cfg: SynthesisConfig, counts: np.ndarray,
+def _law_from_counts(op: OperatorKind, cfg: SynthesisConfig, counts,
                      skipped: int) -> GeneratedLaw:
     """The law of ``cfg.mc_draws`` draws from their digit counts and skips.
 
@@ -197,8 +206,7 @@ def _law_from_counts(op: OperatorKind, cfg: SynthesisConfig, counts: np.ndarray,
         raise TooManySkips(
             f"{op.value}/n={cfg.entries_per_vector}: {skipped} of {cfg.mc_draws} "
             "draws produced no digit")
-    pmf = counts / counts.sum()
-    return GeneratedLaw(op, cfg, tuple(float(p) for p in pmf), skipped)
+    return GeneratedLaw(op, cfg, tuple(int(c) for c in counts), skipped)
 
 
 def _packaged_law(op: OperatorKind, cfg: SynthesisConfig) -> GeneratedLaw | None:
@@ -214,10 +222,7 @@ def _packaged_law(op: OperatorKind, cfg: SynthesisConfig) -> GeneratedLaw | None
     if (cfg.seed, cfg.mc_draws) != (default_laws.SEED, default_laws.DRAWS):
         return None
     entry = default_laws.LAWS.get((op.value, cfg.entries_per_vector))
-    if entry is None:
-        return None
-    counts, skipped = entry
-    return _law_from_counts(op, cfg, np.asarray(counts, dtype=np.int64), skipped)
+    return None if entry is None else _law_from_counts(op, cfg, *entry)
 
 
 def generate_reference(op: OperatorKind | str, cfg: SynthesisConfig) -> GeneratedLaw:

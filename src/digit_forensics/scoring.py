@@ -34,14 +34,6 @@ _BLOCK_CELLS = 1 << 18
 
 
 @dataclass(frozen=True)
-class KsResult:
-    """Discrete KS statistic with its exact tail probability."""
-
-    statistic: float
-    p_value: float
-
-
-@dataclass(frozen=True)
 class TestOutcome:
     """Scored outcome for one statistic group."""
 
@@ -77,7 +69,7 @@ def _cdf_gaps(cumulative, total, ref_cdf) -> np.ndarray:
 
     The exact tail decides band membership with it too, so a histogram
     whose D ties the observed one counts as "at least as extreme" exactly
-    when ks_discrete would say so.
+    when ks_distances would say so.
     """
     return np.abs(cumulative / total - ref_cdf)
 
@@ -125,17 +117,13 @@ def _distances(counts: np.ndarray, totals, cdf: np.ndarray) -> np.ndarray:
 
 
 def ks_distances(counts, ref_pmf) -> np.ndarray:
-    """D for each histogram along the last axis of ``counts`` (9 cells)."""
+    """D = max over digits of |F_obs(d) - F_ref(d)| for each histogram along
+    the last axis of ``counts`` (9 cells)."""
     counts = np.asarray(counts, dtype=np.int64)
     totals = counts.sum(axis=-1, keepdims=True)
     if np.any(totals == 0):
         raise EmptyHistogram("cannot compare an empty histogram")
     return _distances(counts, totals, _law(ref_pmf).cdf)
-
-
-def ks_discrete(observed: DigitHistogram, ref_pmf) -> float:
-    """D = max over digits of |F_obs(d) - F_ref(d)|."""
-    return float(ks_distances(observed.counts, ref_pmf))
 
 
 # log k! for k < _LOG_FACT.size, shared by every ks_tail call.
@@ -276,7 +264,7 @@ def _tail(n: int, law: _Law, d: float) -> float:
     return min(left, 1.0)
 
 
-def ks_p_value(observed: DigitHistogram, ref_pmf) -> KsResult:
+def ks_p_value(observed: DigitHistogram, ref_pmf) -> float:
     """Exact tail probability of the KS statistic under ``ref_pmf``.
 
     p = P(D >= observed D). Ties count against the observation, so p is
@@ -286,8 +274,7 @@ def ks_p_value(observed: DigitHistogram, ref_pmf) -> KsResult:
     if n == 0:
         raise EmptyHistogram("cannot compare an empty histogram")
     law = _law(ref_pmf)
-    statistic = float(_distances(observed.counts, n, law.cdf))
-    return KsResult(statistic=statistic, p_value=_tail(n, law, statistic))
+    return _tail(n, law, float(_distances(observed.counts, n, law.cdf)))
 
 
 def normalize_score(raw: float, floor: float) -> float:
@@ -330,9 +317,10 @@ def score_groups(groups: Mapping, entries_per_vector: int, store: "ReferenceStor
     ``groups`` maps operator (or its serialized name) to a sequence of
     reported values; any other key raises ``UnknownOperator``. References
     come from ``store``, keyed by ``entries_per_vector`` and each group's
-    usable digit count; groups below ``min_samples`` (a count >= 1) are
-    reported without touching the store.
+    usable digit count; groups below ``min_samples`` are reported without
+    touching the store. Both are counts >= 1, checked before any group.
     """
+    entries_per_vector = as_count(entries_per_vector, "entries_per_vector", 1)
     min_samples = as_count(min_samples, "min_samples", 1)
     normalized = {OperatorKind.from_name(key): values for key, values in groups.items()}
     present = [op for op in OPERATOR_ORDER if op in normalized]
@@ -343,7 +331,7 @@ def score_groups(groups: Mapping, entries_per_vector: int, store: "ReferenceStor
                                              skipped=skipped))
             continue
         ref = store.get(op, entries_per_vector, hist.total)
-        raw = 1.0 - ks_p_value(hist, ref.pmf).p_value
+        raw = 1.0 - ks_p_value(hist, ref.pmf)
         outcomes.append(TestOutcome(
             operator=op, raw_score=raw,
             normalized_score=normalize_score(raw, ref.calibration_floor),

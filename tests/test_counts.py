@@ -14,12 +14,14 @@ from digit_forensics import (
     OperatorKind,
     ReferenceCache,
     ReferenceStore,
+    ReportedStats,
     SynthesisConfig,
     benford_pmf,
     calibrate_floor,
     compute_stats,
     generate_reference,
     run_validation,
+    scan_corpus,
     score_groups,
     size_bucket,
     synthetic_corpus,
@@ -32,6 +34,7 @@ LAW = generate_reference(OperatorKind.MEAN,
                          SynthesisConfig(entries_per_vector=1, seed=7, mc_draws=1_000))
 RECORD = calibrate_floor(LAW, observed_len=10, null_samples=5)
 CORPUS = synthetic_corpus(2, seed=1, rows=(10, 10), features=(3, 3))
+THIN_REPORT = [ReportedStats("x", {OperatorKind.MEAN: [1.0] * 3})]
 
 
 def tiny_store():
@@ -79,6 +82,10 @@ ENTRY_POINTS = [
     ("score-min-samples", "min_samples", 5,
      lambda v: score_groups({"mean": [1.5, 2.5, 31.0, 4.0, 7.0, 1.1]}, 10, tiny_store(),
                             min_samples=v)),
+    ("score-entries", "entries_per_vector", 10,
+     lambda v: score_groups({"mean": [1.5, 2.5, 31.0, 4.0, 7.0, 1.1]}, v, tiny_store())),
+    ("scan-entries-all-thin", "entries_per_vector", 10,
+     lambda v: scan_corpus(THIN_REPORT, store=tiny_store(), entries_per_vector=v)),
     ("compute-stats-pair-cap", "pair_cap", 3,
      lambda v: stats_bits(compute_stats(CORPUS[0], pair_cap=v))),
     ("noise-seed", "seed", 3, lambda v: NoiseSpec(seed=v)),
@@ -151,3 +158,8 @@ def test_store_with_a_numpy_seed_writes_and_reloads(tmp_path):
     ref = store.get(OperatorKind.MEAN, 10, 20)
     assert ReferenceCache(path).load(ref.key) == ref
     assert ref == ReferenceStore(seed=1729).get(OperatorKind.MEAN, 10, 20)
+
+
+def test_an_all_thin_source_still_has_its_entries_checked():
+    with pytest.raises(ValueError, match="^entries_per_vector must be >= 1, got 0$"):
+        scan_corpus(THIN_REPORT, store=tiny_store(), entries_per_vector=0)

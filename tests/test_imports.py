@@ -1,7 +1,7 @@
-"""Every name a package module imports is used in that module.
+"""Every name a package module, script or test imports is used in that file.
 
 No linter ships with the test dependencies, so this stdlib check stands in
-for one. ``__init__.py`` is left out: its imports are re-exports.
+for one. The package's ``__init__.py`` is left out: its imports are re-exports.
 """
 import ast
 from pathlib import Path
@@ -10,8 +10,11 @@ import pytest
 
 import digit_forensics
 
-MODULES = sorted(p for p in Path(digit_forensics.__file__).parent.glob("*.py")
-                 if p.name != "__init__.py")
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = Path(digit_forensics.__file__).parent
+MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+FILES = MODULES + sorted(p for folder in ("scripts", "tests")
+                         for p in (ROOT / folder).glob("*.py"))
 
 
 def _annotations(tree: ast.AST):
@@ -42,7 +45,13 @@ def unused_imports(source: str) -> list[str]:
     return [name for name in imported if name not in used]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_files_are_found():
+    names = {p.relative_to(ROOT).as_posix() for p in FILES[len(MODULES):]}
+    assert {"scripts/default_laws.py", "tests/test_imports.py"} <= names
+
+
+@pytest.mark.parametrize("path", FILES,
+                         ids=lambda p: p.name if p in MODULES else p.relative_to(ROOT).as_posix())
 def test_every_import_is_used(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 

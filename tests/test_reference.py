@@ -1,11 +1,13 @@
 import dataclasses
 import hashlib
+import importlib.util
 import inspect
 import logging
 import re
 import sys
 import threading
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -169,6 +171,7 @@ def _assert_matches_sequential(op, cfg):
             generate_reference(op, cfg)
         return
     law = generate_reference(op, cfg)
+    assert law.counts == tuple(counts.tolist())
     assert law.pmf == tuple(float(p) for p in counts / counts.sum())
     assert law.skipped_draws == skipped
 
@@ -231,10 +234,10 @@ class TestGenerateMatchesSequentialLoop:
             calls.append(None)
             if len(calls) == fail_on:
                 raise Boom("from the worker")
-            return extract_digits(values)
+            return histogram(values)
 
         monkeypatch.setattr(reference, "_CHUNK_CELLS", 20_000)
-        monkeypatch.setattr(reference, "extract_digits", failing)
+        monkeypatch.setattr(reference, "histogram", failing)
         before = threading.active_count()
         with pytest.raises(Boom, match="from the worker"):
             generate_reference(OperatorKind.STD, SynthesisConfig(20, seed=3, mc_draws=5_000))
@@ -430,6 +433,17 @@ class TestReferenceDistribution:
         with pytest.raises(ValueError, match=message):
             dataclasses.replace(ref, **{field: value})
 
+    def test_takes_an_operator_name(self, mean_ref, tmp_path):
+        ref = calibrate_floor(mean_ref[0], observed_len=10, null_samples=5)
+        named = dataclasses.replace(ref, operator="mean")
+        assert named == ref
+        assert named.operator is OperatorKind.MEAN
+        with pytest.raises(UnknownOperator, match="'median'"):
+            dataclasses.replace(ref, operator="median")
+        cache = ReferenceCache(tmp_path / "refs.json")
+        cache.store(named)
+        assert ReferenceCache(cache.path).load(named.key) == ref
+
 
 class TestReferenceStore:
     @pytest.mark.parametrize("kwargs,message", [
@@ -532,6 +546,7 @@ def _fail_on_generate(op, cfg):
 # when scripts/default_laws.py wrote it with numpy 2.4.6; the counts were the
 # same with numpy's AVX-512 paths switched off.
 PINNED_TABLE_DIGEST = "d724757f86bc8b6ef7de4690f9cff26aec5b05c4e233a0993fdbcbd4446594f4"
+WRITER = Path(__file__).resolve().parents[1] / "scripts" / "default_laws.py"
 
 
 class TestPackagedLaws:
@@ -552,6 +567,14 @@ class TestPackagedLaws:
     def test_table_is_pinned(self):
         table = (default_laws.SEED, default_laws.DRAWS, default_laws.LAWS)
         assert hashlib.sha256(repr(table).encode()).hexdigest() == PINNED_TABLE_DIGEST
+
+    def test_writer_renders_the_packaged_table(self, monkeypatch):
+        # the script puts its checkout's src/ first on sys.path when loaded
+        monkeypatch.setattr(sys, "path", list(sys.path))
+        spec = importlib.util.spec_from_file_location("default_laws_script", WRITER)
+        writer = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(writer)
+        assert writer.render(default_laws.LAWS).encode() == writer.TARGET.read_bytes()
 
     def test_regenerated_laws_agree_with_the_table(self):
         # Each count within 5 Monte-Carlo standard errors, sqrt(T p (1 - p))
