@@ -12,12 +12,13 @@ file, so writers in other processes wait their turn and lose no entry.
 """
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import fcntl
 import hashlib
 import json
 import os
-import tempfile
+import shutil
 from pathlib import Path
 
 from .errors import CacheMiss, CorruptCache
@@ -115,9 +116,14 @@ class ReferenceCache:
     def _write(self, refs: dict[ReferenceKey, ReferenceDistribution]) -> None:
         entries = [entry_payload(refs[k]) for k in sorted(refs)]
         doc = {"version": CACHE_VERSION, "entries": entries}
-        fd, tmp = tempfile.mkstemp(dir=self.path.parent, suffix=".tmp")
+        # Not mkstemp, whose files are 0600: the cache is shared, so a new
+        # file gets the umask's mode and a rewritten one keeps its own.
+        tmp = self.path.with_name(f"{self.path.name}.{os.urandom(8).hex()}.tmp")
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as fh:
+                with contextlib.suppress(FileNotFoundError):
+                    shutil.copymode(self.path, tmp)
                 json.dump(doc, fh, indent=2, sort_keys=True)
                 fh.write("\n")
             os.replace(tmp, self.path)

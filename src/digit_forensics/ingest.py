@@ -97,7 +97,7 @@ def load_csv(path, *, delimiter: str = ",", header: bool = True,
         raise MalformedCsv(f"decimal separator must differ from the delimiter, "
                            f"both are {delimiter!r}")
     try:
-        with path.open(newline="", encoding="utf-8") as fh:
+        with path.open(newline="", encoding="utf-8-sig") as fh:
             rows = list(csv.reader(fh, delimiter=delimiter))
     except (csv.Error, UnicodeDecodeError) as exc:
         raise MalformedCsv(f"{path}: {exc}") from exc
@@ -134,26 +134,21 @@ def load_csv(path, *, delimiter: str = ",", header: bool = True,
 
 
 def _parse_column(cells: list[str], decimal_separator: str) -> np.ndarray | None:
-    """Parse one column to floats, or None when the column is not numeric."""
-    out = np.empty(len(cells))
-    usable = 0
-    for i, cell in enumerate(cells):
-        text = cell.strip()
-        if not text:
-            out[i] = np.nan
-            continue
-        if decimal_separator != ".":
-            text = text.replace(decimal_separator, ".")
-        try:
-            value = float(text)
-        except ValueError:
-            return None
-        if math.isfinite(value):
-            out[i] = value
-            usable += 1
-        else:
-            out[i] = np.nan
-    return out if usable else None
+    """Parse one column to floats, or None when the column is not numeric.
+
+    Each stripped cell is read as ``float()`` reads it. The cells stay Python
+    strings, as numpy's fixed-width strings convert more slowly.
+    """
+    text = np.frompyfunc(str.strip, 1, 1)(np.array(cells, dtype=object))
+    if decimal_separator != ".":
+        text = np.frompyfunc(str.replace, 3, 1)(text, decimal_separator, ".")
+    text[text == ""] = "nan"
+    try:
+        values = text.astype(float)
+    except ValueError:
+        return None
+    values[~np.isfinite(values)] = np.nan
+    return None if np.isnan(values).all() else values
 
 
 def compute_stats(dataset: DatasetMatrix, pair_cap: int = DEFAULT_PAIR_CAP,
@@ -177,11 +172,16 @@ def compute_stats(dataset: DatasetMatrix, pair_cap: int = DEFAULT_PAIR_CAP,
     complete = bool(finite.all())
     features = row_moments(block, None if complete else finite)
     squares = features.sum_squares()
-    regressors, responses = np.nonzero(~np.eye(f, dtype=bool))
-    if regressors.size > pair_cap:
+    # Pair i is the i-th off-diagonal cell of the f x f grid in row order,
+    # so a subsample never holds all f * (f - 1) pairs.
+    count = f * (f - 1)
+    if count > pair_cap:
         gen = rngmod.substream(pair_seed, rngmod.STREAM_PAIRS)
-        keep = np.sort(gen.choice(regressors.size, size=pair_cap, replace=False))
-        regressors, responses = regressors[keep], responses[keep]
+        pairs = np.sort(gen.choice(count, size=pair_cap, replace=False))
+    else:
+        pairs = np.arange(count)
+    regressors, rest = np.divmod(pairs, max(f - 1, 1))
+    responses = rest + (rest >= regressors)
     slopes = np.empty(regressors.size)
     step = max(1, _BLOCK_CELLS // max(1, n))
     for start in range(0, regressors.size, step):

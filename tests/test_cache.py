@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import os
+import stat
 import subprocess
 import sys
 from pathlib import Path
@@ -145,6 +146,29 @@ def test_concurrent_writers_lose_no_entry(tmp_path):
     assert len(doc["entries"]) == 216
     assert len({(e["operator"], e["entries_per_vector"], e["observed_len_bucket"])
                 for e in doc["entries"]}) == 216
+
+
+class TestFileMode:
+    @pytest.fixture
+    def umask(self):
+        old = os.umask(0o027)
+        yield
+        os.umask(old)
+
+    def test_new_cache_gets_the_umask_mode(self, tmp_path, calibrated_ref, umask):
+        path = tmp_path / "c.json"
+        ReferenceCache(path).store(calibrated_ref)
+        assert stat.S_IMODE(os.stat(path).st_mode) == 0o640
+
+    def test_rewritten_cache_keeps_its_mode(self, tmp_path, calibrated_ref, second_ref,
+                                            umask):
+        path = tmp_path / "c.json"
+        cache = ReferenceCache(path)
+        cache.store(calibrated_ref)
+        os.chmod(path, 0o604)
+        cache.store(second_ref)
+        assert stat.S_IMODE(os.stat(path).st_mode) == 0o604
+        assert list(tmp_path.glob("*.tmp")) == []
 
 
 class TestCorruption:

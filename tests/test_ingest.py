@@ -1,4 +1,6 @@
+import csv
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,7 +15,7 @@ from digit_forensics import (
     load_csv,
     load_report,
 )
-from digit_forensics.ingest import DatasetMatrix
+from digit_forensics.ingest import DEFAULT_PAIR_CAP, DatasetMatrix
 from digit_forensics.rng import STREAM_PAIRS, substream
 
 
@@ -21,6 +23,18 @@ def write_csv(tmp_path, text, name="data.csv"):
     path = tmp_path / name
     path.write_text(text, encoding="utf-8")
     return path
+
+
+# Cells float() reads, then cells it refuses; the last one float() reads only
+# once str.strip has removed its separator characters.
+FLOAT_CELLS = [
+    "1.5", "-4e2", " 2 ", "+3", ".5", "5.", "1_000", "\u0661\u0662", "\u0663.\u0665", " 1",
+    "1.5\xa0", "inf", "-Infinity", "iNfInItY", "infinity", "Inf ", "nan", "NaN", "1e400",
+    "1e-400", "4.9e-324",
+    "", "  ", "abc", "1e", "0x10", "1,5", "1__0", "_1", "1d5", "0b1", "1j", "+-1",
+    "nan(123)",
+    "\x1f2\x1c",
+]
 
 
 def matrix(*cols, name="t"):
@@ -114,6 +128,36 @@ class TestLoadCsv:
         path = write_csv(tmp_path, "a\n1\n2\n", name="run7.csv")
         assert load_csv(path).name == "run7"
 
+    @pytest.mark.parametrize("cell", FLOAT_CELLS, ids=ascii)
+    def test_cell_reads_as_float_reads_it(self, tmp_path, cell):
+        path = tmp_path / "cell.csv"
+        with path.open("w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh).writerows([["v"], [cell], ["1"]])
+        text = cell.strip()
+        try:
+            expected = float(text) if text else float("nan")
+        except ValueError:
+            with pytest.raises(NoNumericColumns):
+                load_csv(path)
+            return
+        column = load_csv(path).columns[0][1]
+        assert column[1] == 1.0
+        if np.isfinite(expected):
+            assert float(column[0]).hex() == expected.hex()
+        else:
+            assert np.isnan(column[0])
+
+    @pytest.mark.parametrize("header", [True, False], ids=["header", "no-header"])
+    def test_utf8_bom_is_ignored(self, tmp_path, header):
+        path = tmp_path / "bom.csv"
+        text = ("a,b\n" if header else "") + "1,2\n3,4\n5,6\n"
+        path.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+        m = load_csv(path, header=header)
+        assert m.dropped == []
+        assert [label for label, _ in m.columns] == (["a", "b"] if header
+                                                     else ["col_1", "col_2"])
+        assert m.columns[0][1].tolist() == [1.0, 3.0, 5.0]
+
 
 class TestComputeStats:
     def test_exact_linear_relation(self):
@@ -193,6 +237,18 @@ class TestComputeStats:
         with pytest.raises(ValueError):
             compute_stats(ragged)
 
+    def test_wide_dataset_never_holds_every_pair(self):
+        gen = np.random.default_rng(3)
+        dataset = matrix(*gen.uniform(1.0, 2.0, size=(3000, 4)))
+        tracemalloc.start()
+        try:
+            stats = compute_stats(dataset)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert stats.slopes.size == DEFAULT_PAIR_CAP
+        assert peak < 10 * 2**20
+
     def test_column_with_no_finite_cell(self):
         nan = float("nan")
         stats = compute_stats(matrix([nan, nan, nan], [1, 2, 4]))
@@ -245,6 +301,9 @@ class TestComputeStatsMatchesLoop:
     @pytest.mark.parametrize("seed,rows,features,pair_cap", [
         (1, 20, 5, 200), (2, 200, 20, 200), (3, 57, 12, 40), (4, 3, 4, 200),
         (5, 1500, 30, 200), (6, 90, 9, 0),
+        # pair grids of 1, 2, 3, 5, 20 and 31 features, whole and subsampled
+        (21, 6, 1, 200), (22, 6, 2, 200), (23, 6, 3, 200), (24, 6, 3, 4), (25, 6, 5, 7),
+        (26, 6, 20, 400), (27, 6, 31, 1000), (28, 6, 31, 200),
     ])
     def test_no_blanks_bit_identical(self, seed, rows, features, pair_cap):
         dataset = random_dataset(seed, rows, features, 0.0)
