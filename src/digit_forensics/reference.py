@@ -50,9 +50,9 @@ MAX_SKIP_FRACTION = 0.10
 # Calibration draws its null histograms in blocks of this many cells too,
 # which bounds its memory; there the split leaves the stream unchanged.
 _CHUNK_CELLS = 2_000_000
-# The worker conforms and reduces a drawn chunk in row blocks of about this
-# many cells: small enough to stay in cache, large enough that the two
-# threads seldom hand over the GIL. Any size gives the same counts.
+# A drawn chunk is conformed and reduced in row blocks of about this many
+# cells, which bounds the reduction temporaries and keeps them in cache.
+# Any size gives the same counts.
 _SUB_CELLS = 1 << 18
 
 
@@ -233,34 +233,24 @@ def generate_reference(op: OperatorKind | str, cfg: SynthesisConfig) -> Generate
     non-finite, degenerate) are skipped and counted; generation aborts with
     TooManySkips when more than 10% of draws produce nothing.
 
-    The caller's thread draws the chunks in stream order while one worker
-    thread counts the previous chunk's digits; the caller then hands over
-    the new chunk and drops it, so at most two chunks are alive at once.
-    Counts are integer sums, so the law does not depend on the timing.
-    An unknown operator name raises UnknownOperator.
+    Chunks are drawn in stream order and counted in turn on the caller's
+    thread, so one drawn chunk is alive at a time. An unknown operator name
+    raises UnknownOperator.
     """
     op = OperatorKind.from_name(op)
     if op is not OperatorKind.MEAN and cfg.entries_per_vector < 2:
         raise ValueError(f"{op.value} needs entries_per_vector >= 2 (it is undefined "
                          f"over one entry), got {cfg.entries_per_vector}")
-    # imported here: one-off CLI calls that build no reference skip its import
-    from concurrent.futures import ThreadPoolExecutor
-
     gen = rngmod.substream(cfg.seed, rngmod.STREAM_GENERATE, operator_index(op),
                            cfg.entries_per_vector)
     matrices = 2 if op is OperatorKind.OLS_SLOPE else 1
     chunk = max(1, _CHUNK_CELLS // (cfg.entries_per_vector * matrices))
     results = []
-    with ThreadPoolExecutor(max_workers=1) as worker:
-        future = None
-        for done in range(0, cfg.mc_draws, chunk):
-            take = min(chunk, cfg.mc_draws - done)
-            drawn = [_draw(gen, take, cfg.entries_per_vector) for _ in range(matrices)]
-            if future is not None:
-                results.append(future.result())
-            future = worker.submit(_count_digits, op, drawn)
-            del drawn
-        results.append(future.result())
+    for done in range(0, cfg.mc_draws, chunk):
+        take = min(chunk, cfg.mc_draws - done)
+        # passed, not bound: each chunk is freed before the next one is drawn
+        results.append(_count_digits(op, [_draw(gen, take, cfg.entries_per_vector)
+                                          for _ in range(matrices)]))
     return _law_from_counts(op, cfg, sum(c for c, _ in results),
                             sum(s for _, s in results))
 

@@ -332,6 +332,19 @@ class TestScoreDataset:
         ops |= {row["operator"] for row in doc["insufficient"]}
         assert ops == {"mean", "std", "ols_slope"}
 
+    def test_dropped_column_is_warned_without_verbose(self, csv_path, tmp_path):
+        # a dropped column changes what gets scored, so it shows without -v
+        path = tmp_path / "labelled.csv"
+        rows = csv_path.read_text(encoding="utf-8").splitlines()
+        labels = ["site"] + [f"s{i}" for i in range(len(rows) - 1)]
+        path.write_text("".join(f"{row},{label}\n" for row, label in zip(rows, labels)),
+                        encoding="utf-8")
+        proc = run_cli("score-dataset", str(path), "--seed", "3", *FAST)
+        assert proc.returncode == 0
+        assert out_json(proc)["dropped_columns"] == ["site"]
+        assert proc.stderr.decode().splitlines() == [
+            "WARNING digit_forensics.ingest: labelled.csv: dropped non-numeric columns: site"]
+
     def test_text_format_renders_summary(self, csv_path):
         proc = run_cli("score-dataset", str(csv_path), "--seed", "3",
                        "--format", "text", *FAST)
@@ -545,7 +558,7 @@ class TestParser:
 
     def test_import_loads_no_scipy(self):
         # start-up time dominates one-off CLI calls; scoring needs numpy only,
-        # and only reference generation needs concurrent.futures
+        # and the package needs no concurrent.futures at all
         code = ("import sys, digit_forensics.cli; "
                 "sys.exit(any(m.split('.')[0] == 'scipy' or m == 'concurrent.futures' "
                 "for m in sys.modules))")

@@ -131,8 +131,9 @@ class TestSynthVector:
 
 
 def _sequential_counts(op, cfg):
-    """Digit counts and skips of ``op`` by one chunk after another on one
-    thread: the generation loop before drawing and arithmetic overlapped."""
+    """Digit counts and skips of ``op`` by one whole chunk after another,
+    with no sub-blocks and no arithmetic in place: the plainest form of
+    the generation loop."""
     def synth(gen, count):
         c = DECADE_OFFSETS[gen.integers(0, DECADE_OFFSETS.size, size=count)].astype(float)
         w = c[:, None] + gen.uniform(0.0, float(DECADE_SPAN),
@@ -177,8 +178,9 @@ def _assert_matches_sequential(op, cfg):
 
 
 class TestGenerateMatchesSequentialLoop:
-    """The caller draws while one worker counts digits; the law must be the
-    one-thread loop's, bit for bit, whatever the chunk and sub-block sizes."""
+    """Generation draws each chunk and counts it in sub-blocks; the law must be
+    the plain per-chunk loop's, bit for bit, whatever the chunk and sub-block
+    sizes."""
 
     @pytest.mark.parametrize("draws", [1000, 12_345])
     @pytest.mark.parametrize("n", [1, 2, 10, 200, 1000])
@@ -195,7 +197,7 @@ class TestGenerateMatchesSequentialLoop:
         _assert_matches_sequential(op, SynthesisConfig(7, seed=23, mc_draws=12_345))
 
     def test_concurrent_callers_under_fast_switching(self, monkeypatch):
-        # four callers, each with its own worker; a thread switch every
+        # four callers, each on its own thread; a thread switch every
         # 10 microseconds must not move any count
         monkeypatch.setattr(reference, "_CHUNK_CELLS", 20_000)
         monkeypatch.setattr(reference, "_SUB_CELLS", 2_000)
@@ -224,7 +226,7 @@ class TestGenerateMatchesSequentialLoop:
             assert law.skipped_draws == skipped
 
     @pytest.mark.parametrize("fail_on", [1, 3])
-    def test_worker_error_propagates_and_the_worker_ends(self, fail_on, monkeypatch):
+    def test_count_error_propagates(self, fail_on, monkeypatch):
         class Boom(Exception):
             pass
 
@@ -233,19 +235,19 @@ class TestGenerateMatchesSequentialLoop:
         def failing(values):
             calls.append(None)
             if len(calls) == fail_on:
-                raise Boom("from the worker")
+                raise Boom("from the count")
             return histogram(values)
 
         monkeypatch.setattr(reference, "_CHUNK_CELLS", 20_000)
         monkeypatch.setattr(reference, "histogram", failing)
         before = threading.active_count()
-        with pytest.raises(Boom, match="from the worker"):
+        with pytest.raises(Boom, match="from the count"):
             generate_reference(OperatorKind.STD, SynthesisConfig(20, seed=3, mc_draws=5_000))
         assert threading.active_count() == before
 
     @pytest.mark.parametrize("fail_on", [1, 3])
-    def test_caller_error_propagates_and_the_worker_ends(self, fail_on, monkeypatch):
-        # the 3rd draw fails after the 2nd chunk went to the worker
+    def test_draw_error_propagates(self, fail_on, monkeypatch):
+        # the 3rd draw fails after the 2nd chunk was counted
         class Boom(Exception):
             pass
 
@@ -254,20 +256,20 @@ class TestGenerateMatchesSequentialLoop:
         def failing(*args):
             calls.append(None)
             if len(calls) == fail_on:
-                raise Boom("from the caller")
+                raise Boom("from the draw")
             return _draw(*args)
 
         monkeypatch.setattr(reference, "_CHUNK_CELLS", 20_000)
         monkeypatch.setattr(reference, "_draw", failing)
         before = threading.active_count()
-        with pytest.raises(Boom, match="from the caller"):
+        with pytest.raises(Boom, match="from the draw"):
             generate_reference(OperatorKind.STD, SynthesisConfig(20, seed=3, mc_draws=5_000))
         assert len(calls) == fail_on
         assert threading.active_count() == before
 
     def test_std_memory_bounded_at_two_hundred_entries(self):
-        # 2e6-cell chunks: the one-thread loop peaked at 46 MiB; two chunks
-        # alive at once and sub-block temporaries stay under 40 MiB
+        # 2e6-cell chunks: one chunk alive plus sub-block temporaries stay
+        # under 24 MiB
         cfg = SynthesisConfig(200, seed=4, mc_draws=40_000)
         tracemalloc.start()
         try:
@@ -275,7 +277,21 @@ class TestGenerateMatchesSequentialLoop:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 40 * 2 ** 20
+        assert peak < 24 * 2 ** 20
+
+    def test_runs_on_the_callers_thread(self, monkeypatch):
+        # 5000 draws of 20 entries in 20 000-cell chunks make 5 chunks
+        threads = []
+        count_digits = reference._count_digits
+
+        def counting(*args):
+            threads.append(threading.get_ident())
+            return count_digits(*args)
+
+        monkeypatch.setattr(reference, "_CHUNK_CELLS", 20_000)
+        monkeypatch.setattr(reference, "_count_digits", counting)
+        generate_reference(OperatorKind.STD, SynthesisConfig(20, seed=3, mc_draws=5_000))
+        assert threads == [threading.get_ident()] * 5
 
 
 class TestGenerateReference:
