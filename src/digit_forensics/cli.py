@@ -47,44 +47,24 @@ EXIT_FLAGGED = 4
 EXIT_INSUFFICIENT = 5
 
 
-def _float_in(text: str, inside, wanted: str) -> float:
-    try:
-        value = float(text)
-        if inside(value):
-            return value
-    except ValueError:
-        pass
-    raise argparse.ArgumentTypeError(f"expected {wanted}, got {text!r}")
+def _checked(convert, inside, wanted: str):
+    """An argparse type: ``convert(text)`` when ``inside`` holds of it, else an error."""
+    def parse(text: str):
+        try:
+            value = convert(text)
+            if inside(value):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"expected {wanted}, got {text!r}")
+    return parse
 
 
-def _probability(text: str) -> float:
-    return _float_in(text, lambda v: 0.0 < v < 1.0, "a value in (0, 1)")
-
-
-def _fraction(text: str) -> float:
-    return _float_in(text, lambda v: 0.0 <= v < 1.0, "a value in [0, 1)")
-
-
-def _int_at_least(text: str, lowest: int, wanted: str) -> int:
-    try:
-        value = int(text)
-        if value >= lowest:
-            return value
-    except ValueError:
-        pass
-    raise argparse.ArgumentTypeError(f"expected {wanted}, got {text!r}")
-
-
-def _positive_int(text: str) -> int:
-    return _int_at_least(text, 1, "a positive integer")
-
-
-def _seed(text: str) -> int:
-    return _int_at_least(text, 0, "a non-negative integer")
-
-
-def _draws(text: str) -> int:
-    return _int_at_least(text, MIN_DRAWS, f"an integer >= {MIN_DRAWS}")
+_probability = _checked(float, lambda v: 0.0 < v < 1.0, "a value in (0, 1)")
+_fraction = _checked(float, lambda v: 0.0 <= v < 1.0, "a value in [0, 1)")
+_positive_int = _checked(int, lambda v: v >= 1, "a positive integer")
+_seed = _checked(int, lambda v: v >= 0, "a non-negative integer")
+_draws = _checked(int, lambda v: v >= MIN_DRAWS, f"an integer >= {MIN_DRAWS}")
 
 
 def _write_output(args: argparse.Namespace, payload: dict, render) -> None:

@@ -76,14 +76,9 @@ class DigitHistogram:
     __slots__ = ("counts", "total")
 
     def __init__(self, counts):
-        arr = np.array(counts)
-        if arr.dtype.kind not in "iu":
-            raise ValueError(f"digit counts must be integers, got dtype {arr.dtype}")
-        arr = arr.astype(np.int64, copy=False)
+        arr = check_counts(np.array(counts))
         if arr.shape != (9,):
             raise ValueError(f"expected 9 digit counts, got shape {arr.shape}")
-        if arr.min() < 0:
-            raise ValueError("digit counts must be non-negative")
         arr.setflags(write=False)
         self.counts = arr
         self.total = int(np.add.reduce(arr))
@@ -117,6 +112,19 @@ def histograms(groups) -> list[tuple[DigitHistogram, int]]:
     counts = np.bincount(owner * 10 + digits, minlength=10 * len(arrays)).reshape(-1, 10)
     hists = [DigitHistogram(row[1:]) for row in counts]
     return [(hist, size - hist.total) for hist, size in zip(hists, sizes)]
+
+
+def check_counts(counts) -> np.ndarray:
+    """Validate digit counts (9 cells along the last axis) and return them as int64."""
+    arr = np.asarray(counts)
+    if arr.dtype.kind not in "iu":
+        raise ValueError(f"digit counts must be integers, got dtype {arr.dtype}")
+    if arr.shape[-1:] != (9,):
+        raise ValueError(f"expected 9 digit counts, got shape {arr.shape}")
+    arr = arr.astype(np.int64, copy=False)  # before the sign check: a uint64 may wrap
+    if arr.min(initial=0) < 0:  # initial: an empty stack has no minimum
+        raise ValueError("digit counts must be non-negative")
+    return arr
 
 
 def check_pmf(probs) -> np.ndarray:

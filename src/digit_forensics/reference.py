@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import bisect
 import functools
-import logging
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -22,8 +21,6 @@ from .digits import check_pmf, histogram
 from .errors import CacheMiss, TooManySkips, as_count
 from .operators import OperatorKind, operator_index, row_means, row_moments
 from .scoring import ks_distances, ks_tail
-
-logger = logging.getLogger(__name__)
 
 SIZE_BUCKETS = (1, 2, 5, 10, 20, 50, 100, 200, 500, 1000)
 
@@ -300,9 +297,10 @@ class ReferenceStore:
     generated otherwise, at most once per store; it is calibrated for
     every observed-length bucket that needs it, and every reference goes
     to the cache.
-    A cached entry built under another seed, draw count or calibration
-    sample count is still used, with a warning that names both. The
-    knobs themselves are checked, as ints, before any cache lookup.
+    A cached entry is used only when it was built under the store's seed,
+    draw count and calibration sample count; otherwise the reference is
+    built as on a miss and replaces it. The knobs themselves are checked,
+    as ints, before any cache lookup.
     """
 
     def __init__(self, *, seed: int, cache=None, mc_draws: int = DEFAULT_DRAWS,
@@ -327,16 +325,10 @@ class ReferenceStore:
             except CacheMiss:
                 pass
             else:
-                built = (ref.seed, ref.mc_draws, ref.calibration_samples)
-                wanted = (self.seed, self.mc_draws, self.calibration_samples)
-                if built != wanted:
-                    logger.warning(
-                        "cached reference %s/n=%d/obs=%d was built with seed=%d "
-                        "draws=%d calibration_samples=%d; this run asks for seed=%d "
-                        "draws=%d calibration_samples=%d; using the cached entry",
-                        *key, *built, *wanted)
-                self._memo[key] = ref
-                return ref
+                if (ref.seed, ref.mc_draws, ref.calibration_samples) == (
+                        self.seed, self.mc_draws, self.calibration_samples):
+                    self._memo[key] = ref
+                    return ref
         law = self._laws.get(key[:2])
         if law is None:
             cfg = SynthesisConfig(entries_per_vector=key.entries_per_vector,

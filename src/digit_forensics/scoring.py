@@ -15,7 +15,7 @@ from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple
 
 import numpy as np
 
-from .digits import DigitHistogram, check_pmf, histograms
+from .digits import DigitHistogram, check_counts, check_pmf, histograms
 from .errors import EmptyHistogram, NoUsableOutcomes, as_count
 from .operators import OPERATOR_ORDER, OperatorKind
 
@@ -118,8 +118,8 @@ def _distances(counts: np.ndarray, totals, cdf: np.ndarray) -> np.ndarray:
 
 def ks_distances(counts, ref_pmf) -> np.ndarray:
     """D = max over digits of |F_obs(d) - F_ref(d)| for each histogram along
-    the last axis of ``counts`` (9 cells)."""
-    counts = np.asarray(counts, dtype=np.int64)
+    the last axis of ``counts``, under ``check_counts``'s rule."""
+    counts = check_counts(counts)
     totals = counts.sum(axis=-1, keepdims=True)
     if np.any(totals == 0):
         raise EmptyHistogram("cannot compare an empty histogram")

@@ -112,20 +112,24 @@ class TestGenRef:
         first = run_cli("gen-ref", "--operator", "mean", "--seed", "5",
                         "--cache", str(cache), *FAST)
         assert first.returncode == 0
-        assert cache.exists()
-        # Different draw count, same cache: the cached entry must win.
-        again = run_cli("gen-ref", "--operator", "mean", "--seed", "5",
-                        "--cache", str(cache), "--draws", "4000",
-                        "--calibration-samples", "20")
-        assert out_json(again)["mc_draws"] == 2000
-        assert again.stdout == first.stdout
-        # ...and stderr says, once, which knobs it was built under
         assert first.stderr == b""
-        [warning] = again.stderr.decode().splitlines()
-        assert warning.startswith("WARNING digit_forensics.reference: ")
-        assert "mean/n=1/obs=20" in warning
-        assert "seed=5 draws=2000 calibration_samples=20" in warning
-        assert "seed=5 draws=4000 calibration_samples=20" in warning
+        stored = cache.read_bytes()
+        # Same knobs: the cached entry is printed and the file is not rewritten.
+        same = run_cli("gen-ref", "--operator", "mean", "--seed", "5",
+                       "--cache", str(cache), *FAST)
+        assert same.stdout == first.stdout
+        assert cache.read_bytes() == stored
+        # Another draw count: the output is what the command prints without a
+        # cache, silently, and the rebuilt entry replaces the cached one.
+        wider = ["gen-ref", "--operator", "mean", "--seed", "5",
+                 "--draws", "4000", "--calibration-samples", "20"]
+        again = run_cli(*wider, "--cache", str(cache))
+        assert again.returncode == 0
+        assert again.stdout == run_cli(*wider).stdout
+        assert out_json(again)["mc_draws"] == 4000
+        assert again.stderr == b""
+        [entry] = json.loads(cache.read_text(encoding="utf-8"))["entries"]
+        assert entry == out_json(again)
 
     def test_unknown_operator_exits_2(self):
         proc = run_cli("gen-ref", "--operator", "median", *FAST)

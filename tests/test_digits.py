@@ -135,6 +135,10 @@ class TestExtractDigits:
             assert hist.total + skipped == 50
 
 
+def ks_to_benford(counts) -> np.ndarray:
+    return ks_distances(counts, benford_pmf())
+
+
 class TestHistogram:
     def test_example_mixed(self):
         hist, skipped = histogram([1.2, 14.0, 0.19, 900])
@@ -162,11 +166,24 @@ class TestHistogram:
         with pytest.raises(ValueError):
             DigitHistogram([-1, 0, 0, 0, 0, 0, 0, 0, 0])
 
-    @pytest.mark.parametrize("counts", [[1.5] * 9, [1.0] * 9, [True] * 9, ["3"] * 9],
-                             ids=["1.5", "1.0", "True", "str"])
-    def test_refuses_counts_that_are_not_integers(self, counts):
+    # ks_distances states the same digit-count rule as DigitHistogram
+    @pytest.mark.parametrize(("refuse", "counts"), [
+        pytest.param(refuse, counts, id=prefix + name)
+        for prefix, refuse in [("", DigitHistogram), ("ks_distances-", ks_to_benford)]
+        for name, counts in [("1.5", [1.5] * 9), ("1.0", [1.0] * 9),
+                             ("True", [True] * 9), ("str", ["3"] * 9)]])
+    def test_refuses_counts_that_are_not_integers(self, refuse, counts):
         with pytest.raises(ValueError, match="digit counts must be integers"):
-            DigitHistogram(counts)
+            refuse(counts)
+
+    @pytest.mark.parametrize("refuse", [DigitHistogram, ks_to_benford],
+                             ids=["DigitHistogram", "ks_distances"])
+    def test_refuses_negative_counts(self, refuse):
+        with pytest.raises(ValueError, match="digit counts must be non-negative"):
+            refuse([-1, 2, 0, 0, 0, 0, 0, 0, 1])
+        # a uint64 count past the int64 range wraps negative when cast
+        with pytest.raises(ValueError, match="digit counts must be non-negative"):
+            refuse(np.full(9, 2**63, dtype=np.uint64))
 
     @pytest.mark.parametrize("dtype", [np.int64, np.int32, np.uint8])
     def test_accepts_numpy_integer_counts(self, dtype):

@@ -22,7 +22,7 @@ from digit_forensics import (
 )
 from digit_forensics import harness
 from digit_forensics.harness import LABEL_CLEAN, LABEL_MANIPULATED
-from digit_forensics.ingest import ComputedStats
+from digit_forensics.ingest import DEFAULT_PAIR_CAP, ComputedStats
 from digit_forensics.rng import STREAM_NOISE, STREAM_PAIRS, fold_seed, substream
 from digit_forensics.scoring import AggregateOutcome, TestOutcome
 
@@ -227,6 +227,31 @@ class TestRunValidation:
         assert result.f1_per_class == f1
         assert [r.name for r in result.per_dataset] == sorted(
             r.name for r in result.per_dataset)
+
+    def test_screen_is_invariant_under_decade_scaling_and_column_order(self, small_store):
+        """A whole-decade scale or a column permutation moves no leading digit."""
+        datasets = synthetic_corpus(40, seed=5)
+
+        def screen(corpus):
+            result = run_validation(corpus, NoiseSpec(seed=5), store=small_store, seed=5)
+            rows = [(r.name, r.overall.hex(), r.decision) for r in result.per_dataset]
+            return rows, result.excluded
+
+        clean = screen(datasets)
+        for k in (-2, 1, 3):
+            scaled = [DatasetMatrix(d.name, [(c, x * 10.0 ** k) for c, x in d.columns])
+                      for d in datasets]
+            assert screen(scaled) == clean, f"scaled by 10**{k}"
+        # Reversed columns give the same pairs while none is subsampled. Noise
+        # goes by position, so only clean scores are compared.
+        small = [d for d in datasets if d.n_features * (d.n_features - 1) <= DEFAULT_PAIR_CAP]
+        assert len(small) >= 10
+        for d in small:
+            reversed_d = DatasetMatrix(d.name, d.columns[::-1])
+            before, after = (score_groups(compute_stats(m).groups(), entries_per_vector=d.n_rows,
+                                          store=small_store).overall
+                             for m in (d, reversed_d))
+            assert after.hex() == before.hex(), d.name
 
 
 # sha256 over name, float.hex(overall) and decision of every scored dataset,

@@ -500,28 +500,31 @@ class TestReferenceStore:
         b = ReferenceStore(seed=41, mc_draws=2_000, calibration_samples=5)
         assert a.get(OperatorKind.MEAN, 2, 10) == b.get(OperatorKind.MEAN, 2, 10)
 
-    def test_cache_round_trip_skips_regeneration(self, tmp_path, caplog):
+    def test_cache_round_trip_skips_regeneration(self, tmp_path, monkeypatch, caplog):
         path = tmp_path / "refs.json"
         first = ReferenceStore(seed=3, cache=ReferenceCache(path),
                                mc_draws=1_000, calibration_samples=5)
         built = first.get(OperatorKind.MEAN, 1, 10)
         assert path.exists()
-        # A store with different draw settings must return the cached entry
-        # untouched, proving the cache was hit instead of regenerating, and
-        # say once that the entry was built under other knobs.
+        # A store under the same knobs returns the cached entry without
+        # calibrating anything.
+        with monkeypatch.context() as m:
+            m.setattr(reference, "calibrate_floor", _fail_on_calibrate)
+            same = ReferenceStore(seed=3, cache=ReferenceCache(path),
+                                  mc_draws=1_000, calibration_samples=5)
+            assert same.get(OperatorKind.MEAN, 1, 10) == built
+        # A store under other knobs builds its own reference, says nothing,
+        # and the new entry replaces the old one under that key.
         second = ReferenceStore(seed=3, cache=ReferenceCache(path),
                                 mc_draws=2_000, calibration_samples=5)
-        with caplog.at_level(logging.WARNING, logger="digit_forensics"):
-            loaded = second.get(OperatorKind.MEAN, 1, 10)
-            assert second.get(OperatorKind.MEAN, 1, 10) is loaded
-        assert loaded == built
-        assert loaded.mc_draws == 1_000
-        [record] = caplog.records
-        assert record.levelno == logging.WARNING
-        message = record.getMessage()
-        assert "mean/n=1/obs=10" in message
-        assert "seed=3 draws=1000 calibration_samples=5" in message
-        assert "seed=3 draws=2000 calibration_samples=5" in message
+        with caplog.at_level(logging.DEBUG, logger="digit_forensics"):
+            rebuilt = second.get(OperatorKind.MEAN, 1, 10)
+            assert second.get(OperatorKind.MEAN, 1, 10) is rebuilt
+        assert caplog.records == []
+        assert rebuilt == ReferenceStore(seed=3, mc_draws=2_000,
+                                         calibration_samples=5).get(OperatorKind.MEAN, 1, 10)
+        assert (rebuilt.seed, rebuilt.mc_draws, rebuilt.calibration_samples) == (3, 2_000, 5)
+        assert ReferenceCache(path).load(rebuilt.key) == rebuilt
 
     def test_builds_each_law_once(self, monkeypatch):
         built = []
@@ -552,6 +555,10 @@ class TestReferenceStore:
             again.get(OperatorKind.MEAN, 1, 10)
         assert caplog.records == []
 
+
+
+def _fail_on_calibrate(law, observed_len, null_samples):
+    pytest.fail(f"calibrated {law.operator.value}/obs={observed_len} on a cache hit")
 
 
 def _fail_on_generate(op, cfg):
