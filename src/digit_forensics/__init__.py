@@ -48,7 +48,6 @@ from .reference import (
     ReferenceDistribution,
     ReferenceKey,
     ReferenceStore,
-    SynthesisConfig,
     calibrate_floor,
     generate_reference,
     size_bucket,
@@ -91,7 +90,6 @@ __all__ = [
     "ReportedStats",
     "ScanReport",
     "SchemaViolation",
-    "SynthesisConfig",
     "TestOutcome",
     "TooManySkips",
     "UnknownOperator",

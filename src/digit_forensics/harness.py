@@ -161,8 +161,9 @@ def run_validation(datasets: Sequence[DatasetMatrix], spec: NoiseSpec, *,
     those get noise injected into their computed statistics. A dataset is
     predicted manipulated when its overall anomaly probability reaches
     ``decision_threshold``. Datasets with no scorable group are excluded
-    from the tally and listed in the result. A threshold outside (0, 1) is
-    refused before anything is scored.
+    from the tally and listed in the result; when every one is excluded,
+    NoUsableOutcomes names the first. A threshold outside (0, 1) is refused
+    before anything is scored.
     """
     if not 0.0 < decision_threshold < 1.0:
         raise ValueError(f"decision_threshold must lie strictly inside (0, 1), "
@@ -202,6 +203,9 @@ def run_validation(datasets: Sequence[DatasetMatrix], spec: NoiseSpec, *,
             overall=outcome.overall,
             decision=LABEL_MANIPULATED if predicted_manipulated else LABEL_CLEAN,
         ))
+    if not rows:
+        name, reason = excluded[0]
+        raise NoUsableOutcomes(f"all {count} datasets were excluded; the first, {name}: {reason}")
     matrix = ConfusionMatrix(tp=tp, fn=fn, fp=fp, tn=tn)
     accuracy, f1_per_class = confusion_metrics(matrix)
     rows.sort(key=lambda r: r.name)

@@ -87,26 +87,15 @@ class ReferenceKey(NamedTuple):
     observed_len_bucket: int
 
 
-@dataclass(frozen=True)
-class SynthesisConfig:
-    """How many conforming vectors of which size, under which seed."""
-
-    entries_per_vector: int
-    seed: int
-    mc_draws: int = DEFAULT_DRAWS
-
-    def __post_init__(self):
-        as_count(self.entries_per_vector, "entries_per_vector", 1)
-        _check_knobs(seed=self.seed, mc_draws=self.mc_draws)
-
-
 class GeneratedLaw(NamedTuple):
     """Monte-Carlo digit law of one operator, before calibration: the counts
-    of leading digits 1-9 over ``cfg.mc_draws`` draws, and the draws that
-    produced no digit."""
+    of leading digits 1-9 over ``mc_draws`` draws of ``entries_per_vector``
+    entries under ``seed``, and the draws that produced no digit."""
 
     operator: OperatorKind
-    cfg: SynthesisConfig
+    entries_per_vector: int
+    seed: int
+    mc_draws: int
     counts: tuple[int, ...]
     skipped_draws: int
 
@@ -175,38 +164,16 @@ def _operator_outputs(op: OperatorKind, drawn: list) -> np.ndarray:
     return row_moments(x).slope(row_moments(_conform(*drawn[1])))
 
 
-def _count_digits(op: OperatorKind, drawn: list) -> tuple[np.ndarray, int]:
-    """Digit counts and skips of one drawn chunk.
-
-    Rows are conformed and reduced in sub-blocks of about _SUB_CELLS cells;
-    each row's output depends on that row alone.
-    """
-    rows, entries = drawn[0][1].shape
-    step = max(1, _SUB_CELLS // (entries * len(drawn)))
-    counts = np.zeros(9, dtype=np.int64)
-    skipped = 0
-    for lo in range(0, rows, step):
-        part = [(c[lo:lo + step], u[lo:lo + step]) for c, u in drawn]
-        hist, miss = histogram(_operator_outputs(op, part))
-        counts += hist.counts
-        skipped += miss
-    return counts, skipped
+def _check_skips(law: GeneratedLaw) -> GeneratedLaw:
+    """``law``, refused with TooManySkips when more than 10% of its draws
+    produced no digit."""
+    if law.skipped_draws > MAX_SKIP_FRACTION * law.mc_draws:
+        raise TooManySkips(f"{law.operator.value}/n={law.entries_per_vector}: "
+                           f"{law.skipped_draws} of {law.mc_draws} draws produced no digit")
+    return law
 
 
-def _law_from_counts(op: OperatorKind, cfg: SynthesisConfig, counts,
-                     skipped: int) -> GeneratedLaw:
-    """The law of ``cfg.mc_draws`` draws from their digit counts and skips.
-
-    Refuses with TooManySkips when more than 10% of draws produced no digit.
-    """
-    if skipped > MAX_SKIP_FRACTION * cfg.mc_draws:
-        raise TooManySkips(
-            f"{op.value}/n={cfg.entries_per_vector}: {skipped} of {cfg.mc_draws} "
-            "draws produced no digit")
-    return GeneratedLaw(op, cfg, tuple(int(c) for c in counts), skipped)
-
-
-def _packaged_law(op: OperatorKind, cfg: SynthesisConfig) -> GeneratedLaw | None:
+def _packaged_law(op: OperatorKind, n: int, seed: int, mc_draws: int) -> GeneratedLaw | None:
     """The law from the packaged table, or None when the table lacks it.
 
     The table holds every law that can be built under the seed and draw
@@ -216,40 +183,49 @@ def _packaged_law(op: OperatorKind, cfg: SynthesisConfig) -> GeneratedLaw | None
     # imported here: one-off CLI calls that load every reference from the cache skip it
     from . import default_laws
 
-    if (cfg.seed, cfg.mc_draws) != (default_laws.SEED, default_laws.DRAWS):
+    if (seed, mc_draws) != (default_laws.SEED, default_laws.DRAWS):
         return None
-    entry = default_laws.LAWS.get((op.value, cfg.entries_per_vector))
-    return None if entry is None else _law_from_counts(op, cfg, *entry)
+    entry = default_laws.LAWS.get((op.value, n))
+    return None if entry is None else _check_skips(GeneratedLaw(op, n, seed, mc_draws, *entry))
 
 
-def generate_reference(op: OperatorKind | str, cfg: SynthesisConfig) -> GeneratedLaw:
+def generate_reference(op: OperatorKind | str, entries_per_vector: int, *, seed: int,
+                       mc_draws: int = DEFAULT_DRAWS) -> GeneratedLaw:
     """Monte-Carlo leading-digit law of ``op`` over synthetic vectors.
 
-    A std or slope over one entry per vector does not exist, so those are
+    The knobs are counts (``errors.as_count``): ``entries_per_vector`` >= 1,
+    and ``seed`` and ``mc_draws`` within a record's limits. A bad knob, or a
+    std or slope over one entry per vector (which does not exist), is
     refused with ValueError before any draw. Outputs without a digit (zero,
     non-finite, degenerate) are skipped and counted; generation aborts with
     TooManySkips when more than 10% of draws produce nothing.
 
-    Chunks are drawn in stream order and counted in turn on the caller's
-    thread, so one drawn chunk is alive at a time. An unknown operator name
+    Each chunk is drawn in stream order on the caller's thread and counted
+    in row sub-blocks of about _SUB_CELLS cells before the next is drawn;
+    a row's output depends on that row alone. An unknown operator name
     raises UnknownOperator.
     """
     op = OperatorKind.from_name(op)
-    if op is not OperatorKind.MEAN and cfg.entries_per_vector < 2:
+    n = as_count(entries_per_vector, "entries_per_vector", 1)
+    seed, mc_draws = _check_knobs(seed=seed, mc_draws=mc_draws).values()
+    if op is not OperatorKind.MEAN and n < 2:
         raise ValueError(f"{op.value} needs entries_per_vector >= 2 (it is undefined "
-                         f"over one entry), got {cfg.entries_per_vector}")
-    gen = rngmod.substream(cfg.seed, rngmod.STREAM_GENERATE, operator_index(op),
-                           cfg.entries_per_vector)
+                         f"over one entry), got {n}")
+    gen = rngmod.substream(seed, rngmod.STREAM_GENERATE, operator_index(op), n)
     matrices = 2 if op is OperatorKind.OLS_SLOPE else 1
-    chunk = max(1, _CHUNK_CELLS // (cfg.entries_per_vector * matrices))
-    results = []
-    for done in range(0, cfg.mc_draws, chunk):
-        take = min(chunk, cfg.mc_draws - done)
-        # passed, not bound: each chunk is freed before the next one is drawn
-        results.append(_count_digits(op, [_draw(gen, take, cfg.entries_per_vector)
-                                          for _ in range(matrices)]))
-    return _law_from_counts(op, cfg, sum(c for c, _ in results),
-                            sum(s for _, s in results))
+    chunk = max(1, _CHUNK_CELLS // (n * matrices))
+    step = max(1, _SUB_CELLS // (n * matrices))
+    counts = np.zeros(9, dtype=np.int64)
+    skipped = 0
+    for done in range(0, mc_draws, chunk):
+        drawn = [_draw(gen, min(chunk, mc_draws - done), n) for _ in range(matrices)]
+        for lo in range(0, len(drawn[0][0]), step):
+            hist, miss = histogram(_operator_outputs(
+                op, [(c[lo:lo + step], u[lo:lo + step]) for c, u in drawn]))
+            counts += hist.counts
+            skipped += miss
+        del drawn  # freed before the next draw: one chunk alive at a time
+    return _check_skips(GeneratedLaw(op, n, seed, mc_draws, tuple(counts.tolist()), skipped))
 
 
 def calibrate_floor(law: GeneratedLaw, observed_len: int,
@@ -260,14 +236,13 @@ def calibrate_floor(law: GeneratedLaw, observed_len: int,
     and records the worst raw score (1 - p) among them as the floor: the
     raw score rises with the KS distance, so 1 - p at the widest distance.
     Sets are drawn in blocks, so memory stays bounded at any ``null_samples``;
-    a size off the buckets is refused first. Seed, draws and entries come
-    from ``law.cfg``; same law, same floor, exactly.
+    a size off the buckets is refused first. Seed, draws and entries are
+    the law's own; same law, same floor, exactly.
     """
-    cfg = law.cfg
-    _check_knobs(seed=cfg.seed, mc_draws=cfg.mc_draws, calibration_samples=null_samples,
-                 entries_per_vector=cfg.entries_per_vector, observed_len=observed_len)
-    gen = rngmod.substream(cfg.seed, rngmod.STREAM_CALIBRATE, operator_index(law.operator),
-                           cfg.entries_per_vector, observed_len)
+    _check_knobs(seed=law.seed, mc_draws=law.mc_draws, calibration_samples=null_samples,
+                 entries_per_vector=law.entries_per_vector, observed_len=observed_len)
+    gen = rngmod.substream(law.seed, rngmod.STREAM_CALIBRATE, operator_index(law.operator),
+                           law.entries_per_vector, observed_len)
     pmf = np.asarray(law.pmf)
     rows = max(1, _CHUNK_CELLS // pmf.size)
     widest = 0.0
@@ -276,13 +251,13 @@ def calibrate_floor(law: GeneratedLaw, observed_len: int,
         widest = max(widest, float(ks_distances(null_counts, pmf).max()))
     return ReferenceDistribution(
         operator=law.operator,
-        entries_per_vector=cfg.entries_per_vector,
+        entries_per_vector=law.entries_per_vector,
         pmf=law.pmf,
         calibration_floor=float(1.0 - ks_tail(observed_len, pmf, widest)),
         observed_len_bucket=observed_len,
-        mc_draws=cfg.mc_draws,
+        mc_draws=law.mc_draws,
         calibration_samples=null_samples,
-        seed=cfg.seed,
+        seed=law.seed,
     )
 
 
@@ -331,9 +306,10 @@ class ReferenceStore:
                     return ref
         law = self._laws.get(key[:2])
         if law is None:
-            cfg = SynthesisConfig(entries_per_vector=key.entries_per_vector,
-                                  seed=self.seed, mc_draws=self.mc_draws)
-            law = self._laws[key[:2]] = _packaged_law(op, cfg) or generate_reference(op, cfg)
+            n = key.entries_per_vector
+            law = self._laws[key[:2]] = (
+                _packaged_law(op, n, self.seed, self.mc_draws)
+                or generate_reference(op, n, seed=self.seed, mc_draws=self.mc_draws))
         ref = calibrate_floor(law, key.observed_len_bucket, self.calibration_samples)
         if self.cache is not None:
             self.cache.store(ref)

@@ -20,7 +20,6 @@ from digit_forensics import (
     NoiseSpec,
     OperatorKind,
     ReferenceStore,
-    SynthesisConfig,
     benford_pmf,
     build_flag_table,
     confusion_metrics,
@@ -60,12 +59,11 @@ def test_criterion_1_base_law_exact(capsys):
 
 
 def test_criterion_2_identity_reference(capsys):
-    cfg = SynthesisConfig(entries_per_vector=1, seed=2026, mc_draws=100_000)
-    ref = generate_reference(OperatorKind.MEAN, cfg)
+    ref = generate_reference(OperatorKind.MEAN, 1, seed=2026, mc_draws=100_000)
     tv = 0.5 * float(np.abs(np.asarray(ref.pmf) - benford_pmf()).sum())
     report(capsys, 2, tv <= 0.01,
            f"mean-of-one reference vs base law: TV {tv:.5f} <= 0.01 "
-           f"at {cfg.mc_draws} draws")
+           f"at {ref.mc_draws} draws")
 
 
 def test_criterion_3_ks_p_matches_enumeration(capsys):

@@ -17,7 +17,6 @@ from digit_forensics import (
     ReferenceDistribution,
     ReferenceKey,
     ReferenceStore,
-    SynthesisConfig,
     calibrate_floor,
     generate_reference,
 )
@@ -27,15 +26,13 @@ from digit_forensics.cache import CACHE_VERSION, checksum, entry_payload
 
 @pytest.fixture(scope="module")
 def calibrated_ref():
-    cfg = SynthesisConfig(entries_per_vector=1, seed=11, mc_draws=1_000)
-    ref = generate_reference(OperatorKind.MEAN, cfg)
+    ref = generate_reference(OperatorKind.MEAN, 1, seed=11, mc_draws=1_000)
     return calibrate_floor(ref, observed_len=10, null_samples=5)
 
 
 @pytest.fixture(scope="module")
 def second_ref():
-    cfg = SynthesisConfig(entries_per_vector=2, seed=11, mc_draws=1_000)
-    ref = generate_reference(OperatorKind.STD, cfg)
+    ref = generate_reference(OperatorKind.STD, 2, seed=11, mc_draws=1_000)
     return calibrate_floor(ref, observed_len=20, null_samples=5)
 
 

@@ -8,10 +8,10 @@ import numpy as np
 import pytest
 
 from digit_forensics import (
+    DigitHistogram,
     NoiseSpec,
     OperatorKind,
     ReferenceCache,
-    SynthesisConfig,
     benford_pmf,
     calibrate_floor,
     generate_reference,
@@ -146,10 +146,10 @@ class TestGenRef:
             "entry), got 1\n")
 
     def test_too_many_skips_exits_3(self, monkeypatch, capsys):
-        def nothing_counted(op, drawn):
-            return np.zeros(9, dtype=np.int64), len(drawn[0][0])
+        def nothing_counted(values):
+            return DigitHistogram([0] * 9), len(values)
 
-        monkeypatch.setattr(reference, "_count_digits", nothing_counted)
+        monkeypatch.setattr(reference, "histogram", nothing_counted)
         assert cli.main(["gen-ref", "--operator", "mean", "--n", "5", *FAST]) == 3
         assert capsys.readouterr().err == (
             "error: mean/n=5: 2000 of 2000 draws produced no digit\n")
@@ -293,8 +293,7 @@ class TestScoreStats:
         first = run_cli(*args)
         assert first.returncode == 0
         before = cache.read_bytes()
-        cfg = SynthesisConfig(entries_per_vector=7, seed=1729, mc_draws=2000)
-        law = generate_reference(OperatorKind.MEAN, cfg)
+        law = generate_reference(OperatorKind.MEAN, 7, seed=1729, mc_draws=2000)
         with pytest.raises(ValueError, match="entries_per_vector must be one of"):
             ReferenceCache(cache).store(calibrate_floor(law, observed_len=20,
                                                         null_samples=20))
@@ -490,6 +489,16 @@ class TestValidate:
         proc = run_cli("validate", "--synthetic", "3", *self.FAST_VALIDATE)
         assert proc.returncode == 2
         assert "even" in proc.stderr.decode()
+
+    def test_every_dataset_excluded_exits_5_naming_the_first(self):
+        proc = run_cli("validate", "--synthetic", "4", "--min-samples", "1000",
+                       *self.FAST_VALIDATE)
+        assert proc.returncode == 5
+        assert proc.stdout == b""
+        stderr = proc.stderr.decode()
+        assert stderr.startswith(
+            "error: all 4 datasets were excluded; the first, synthetic-0000: ")
+        assert "Traceback" not in stderr
 
     def test_empty_datasets_dir_exits_2(self, tmp_path):
         proc = run_cli("validate", "--datasets-dir", str(tmp_path),

@@ -15,7 +15,6 @@ from digit_forensics import (
     ReferenceCache,
     ReferenceStore,
     ReportedStats,
-    SynthesisConfig,
     benford_pmf,
     calibrate_floor,
     compute_stats,
@@ -30,8 +29,7 @@ from digit_forensics import reference
 from digit_forensics.errors import as_count
 from digit_forensics.scoring import ks_tail
 
-LAW = generate_reference(OperatorKind.MEAN,
-                         SynthesisConfig(entries_per_vector=1, seed=7, mc_draws=1_000))
+LAW = generate_reference(OperatorKind.MEAN, 1, seed=7, mc_draws=1_000)
 RECORD = calibrate_floor(LAW, observed_len=10, null_samples=5)
 CORPUS = synthetic_corpus(2, seed=1, rows=(10, 10), features=(3, 3))
 THIN_REPORT = [ReportedStats("x", {OperatorKind.MEAN: [1.0] * 3})]
@@ -57,11 +55,12 @@ def store_knobs(store):
 ENTRY_POINTS = [
     ("size_bucket", "sample size", 15, size_bucket),
     ("ks_tail", "total", 50, lambda v: ks_tail(v, benford_pmf(), 0.2)),
+    # config-*: the knobs generate_reference draws a law under
     ("config-entries", "entries_per_vector", 10,
-     lambda v: SynthesisConfig(entries_per_vector=v, seed=1, mc_draws=1_000)),
-    ("config-seed", "seed", 3, lambda v: SynthesisConfig(entries_per_vector=10, seed=v)),
+     lambda v: generate_reference("mean", v, seed=1, mc_draws=1_000)),
+    ("config-seed", "seed", 3, lambda v: generate_reference("mean", 10, seed=v, mc_draws=1_000)),
     ("config-draws", "mc_draws", 2_000,
-     lambda v: SynthesisConfig(entries_per_vector=10, seed=1, mc_draws=v)),
+     lambda v: generate_reference("mean", 10, seed=1, mc_draws=v)),
     ("store-seed", "seed", 3, lambda v: store_knobs(ReferenceStore(seed=v))),
     ("store-draws", "mc_draws", 2_000,
      lambda v: store_knobs(ReferenceStore(seed=1, mc_draws=v))),
@@ -106,7 +105,9 @@ NOT_INTEGERS = pytest.mark.parametrize("value", [1.5, 10.0, True, "3"],
 
 @NOT_INTEGERS
 @pytest.mark.parametrize("field,call", [row[1:4:2] for row in ENTRY_POINTS], ids=IDS)
-def test_refuses_a_value_that_is_not_an_integer(field, call, value):
+def test_refuses_a_value_that_is_not_an_integer(field, call, value, monkeypatch):
+    # and before any conforming vector is drawn
+    monkeypatch.setattr(reference, "_draw", lambda *args: pytest.fail("drew before refusing"))
     message = f"{field} must be an integer, got {value!r}"
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call(value)

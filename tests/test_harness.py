@@ -8,6 +8,7 @@ from digit_forensics import (
     DatasetMatrix,
     DegenerateInput,
     NoiseSpec,
+    NoUsableOutcomes,
     OperatorKind,
     ReferenceStore,
     ReportedStats,
@@ -217,6 +218,13 @@ class TestRunValidation:
         assert [name for name, _ in result.excluded] == ["thin-a", "thin-b"]
         assert result.matrix.total == 2
         assert len(result.per_dataset) == 2
+
+    def test_every_dataset_excluded_raises_naming_the_first(self, small_store):
+        with pytest.raises(NoUsableOutcomes,
+                           match="^all 4 datasets were excluded; the first, synthetic-0000: "
+                                 r"mean: \d+ usable of 1000 required"):
+            run_validation(synthetic_corpus(4, seed=0), NoiseSpec(seed=0), store=small_store,
+                           min_samples=1000)
 
     def test_metrics_recomputable_from_matrix(self, small_store):
         datasets = synthetic_corpus(4, seed=13)

@@ -17,7 +17,6 @@ from digit_forensics import (
     OperatorKind,
     ReferenceCache,
     ReferenceStore,
-    SynthesisConfig,
     TooManySkips,
     UnknownOperator,
     benford_pmf,
@@ -85,9 +84,12 @@ class TestSizeBucket:
 
 
 class TestSynthesisConfig:
+    """The knobs a law is synthesised under are ``generate_reference``'s own."""
+
     def test_defaults(self):
-        cfg = SynthesisConfig(entries_per_vector=4, seed=1)
-        assert cfg.mc_draws == 100_000
+        law = generate_reference(OperatorKind.MEAN, 4, seed=1)
+        assert law.mc_draws == 100_000
+        assert sum(law.counts) + law.skipped_draws == 100_000
 
     @pytest.mark.parametrize("kwargs", [
         {"entries_per_vector": 0},
@@ -98,11 +100,20 @@ class TestSynthesisConfig:
         {"mc_draws": 999},
         {"seed": -1},
     ])
-    def test_rejects_invalid(self, kwargs):
-        base = {"entries_per_vector": 4, "seed": 1}
-        base.update(kwargs)
-        with pytest.raises(ValueError):
-            SynthesisConfig(**base)
+    def test_rejects_invalid(self, kwargs, monkeypatch):
+        # the first knob named is the one the message names, before any draw
+        monkeypatch.setattr(reference, "_draw",
+                            lambda *args: pytest.fail("drew before refusing"))
+        knobs = {"entries_per_vector": 4, "seed": 1, **kwargs}
+        with pytest.raises(ValueError, match=f"^{next(iter(kwargs))} must be "):
+            generate_reference(OperatorKind.MEAN, **knobs)
+
+    def test_numpy_integer_knobs_come_back_as_ints(self):
+        law = generate_reference(OperatorKind.STD, np.int32(4), seed=np.int64(1),
+                                 mc_draws=np.uint16(1_000))
+        knobs = (law.entries_per_vector, law.seed, law.mc_draws)
+        assert [type(v) for v in knobs] == [int] * 3
+        assert law == generate_reference(OperatorKind.STD, 4, seed=1, mc_draws=1_000)
 
 
 class TestSynthVector:
@@ -130,23 +141,22 @@ class TestSynthVector:
         assert np.array_equal(block, expected)
 
 
-def _sequential_counts(op, cfg):
+def _sequential_counts(op, n, seed, mc_draws):
     """Digit counts and skips of ``op`` by one whole chunk after another,
     with no sub-blocks and no arithmetic in place: the plainest form of
     the generation loop."""
     def synth(gen, count):
         c = DECADE_OFFSETS[gen.integers(0, DECADE_OFFSETS.size, size=count)].astype(float)
-        w = c[:, None] + gen.uniform(0.0, float(DECADE_SPAN),
-                                     size=(count, cfg.entries_per_vector))
+        w = c[:, None] + gen.uniform(0.0, float(DECADE_SPAN), size=(count, n))
         return 10.0 ** w
 
-    gen = substream(cfg.seed, STREAM_GENERATE, operator_index(op), cfg.entries_per_vector)
+    gen = substream(seed, STREAM_GENERATE, operator_index(op), n)
     matrices = 2 if op is OperatorKind.OLS_SLOPE else 1
-    chunk = max(1, reference._CHUNK_CELLS // (cfg.entries_per_vector * matrices))
+    chunk = max(1, reference._CHUNK_CELLS // (n * matrices))
     counts = np.zeros(9, dtype=np.int64)
     skipped = done = 0
-    while done < cfg.mc_draws:
-        take = min(chunk, cfg.mc_draws - done)
+    while done < mc_draws:
+        take = min(chunk, mc_draws - done)
         x = synth(gen, take)
         if op is OperatorKind.MEAN:
             outputs = row_means(x)
@@ -161,17 +171,17 @@ def _sequential_counts(op, cfg):
     return counts, skipped
 
 
-def _assert_matches_sequential(op, cfg):
-    if op is not OperatorKind.MEAN and cfg.entries_per_vector == 1:
+def _assert_matches_sequential(op, n, seed, mc_draws):
+    if op is not OperatorKind.MEAN and n == 1:
         with pytest.raises(ValueError, match="undefined over one entry"):
-            generate_reference(op, cfg)  # refused before any draw: no law exists
+            generate_reference(op, n, seed=seed, mc_draws=mc_draws)  # no law exists
         return
-    counts, skipped = _sequential_counts(op, cfg)
-    if skipped > reference.MAX_SKIP_FRACTION * cfg.mc_draws:
+    counts, skipped = _sequential_counts(op, n, seed, mc_draws)
+    if skipped > reference.MAX_SKIP_FRACTION * mc_draws:
         with pytest.raises(TooManySkips):
-            generate_reference(op, cfg)
+            generate_reference(op, n, seed=seed, mc_draws=mc_draws)
         return
-    law = generate_reference(op, cfg)
+    law = generate_reference(op, n, seed=seed, mc_draws=mc_draws)
     assert law.counts == tuple(counts.tolist())
     assert law.pmf == tuple(float(p) for p in counts / counts.sum())
     assert law.skipped_draws == skipped
@@ -186,7 +196,7 @@ class TestGenerateMatchesSequentialLoop:
     @pytest.mark.parametrize("n", [1, 2, 10, 200, 1000])
     @pytest.mark.parametrize("op", list(OperatorKind))
     def test_bit_identical(self, op, n, draws):
-        _assert_matches_sequential(op, SynthesisConfig(n, seed=17, mc_draws=draws))
+        _assert_matches_sequential(op, n, 17, draws)
 
     @pytest.mark.parametrize("op", list(OperatorKind))
     def test_bit_identical_over_many_small_chunks(self, op, monkeypatch):
@@ -194,20 +204,20 @@ class TestGenerateMatchesSequentialLoop:
         # short last one, and each chunk splits into uneven sub-blocks
         monkeypatch.setattr(reference, "_CHUNK_CELLS", 3_500)
         monkeypatch.setattr(reference, "_SUB_CELLS", 300)
-        _assert_matches_sequential(op, SynthesisConfig(7, seed=23, mc_draws=12_345))
+        _assert_matches_sequential(op, 7, 23, 12_345)
 
     def test_concurrent_callers_under_fast_switching(self, monkeypatch):
         # four callers, each on its own thread; a thread switch every
         # 10 microseconds must not move any count
         monkeypatch.setattr(reference, "_CHUNK_CELLS", 20_000)
         monkeypatch.setattr(reference, "_SUB_CELLS", 2_000)
-        cases = [(op, SynthesisConfig(n, seed=29, mc_draws=6_000))
-                 for op, n in zip(OperatorKind, (3, 40, 11))]
-        cases.append((OperatorKind.MEAN, SynthesisConfig(40, seed=30, mc_draws=6_000)))
+        cases = [(op, n, 29, 6_000) for op, n in zip(OperatorKind, (3, 40, 11))]
+        cases.append((OperatorKind.MEAN, 40, 30, 6_000))
         laws = [None] * len(cases)
 
         def build(i):
-            laws[i] = generate_reference(*cases[i])
+            op, n, seed, draws = cases[i]
+            laws[i] = generate_reference(op, n, seed=seed, mc_draws=draws)
 
         threads = [threading.Thread(target=build, args=(i,)) for i in range(len(cases))]
         interval = sys.getswitchinterval()
@@ -220,8 +230,8 @@ class TestGenerateMatchesSequentialLoop:
         finally:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
-        for (op, cfg), law in zip(cases, laws):
-            counts, skipped = _sequential_counts(op, cfg)
+        for case, law in zip(cases, laws):
+            counts, skipped = _sequential_counts(*case)
             assert law.pmf == tuple(float(p) for p in counts / counts.sum())
             assert law.skipped_draws == skipped
 
@@ -242,7 +252,7 @@ class TestGenerateMatchesSequentialLoop:
         monkeypatch.setattr(reference, "histogram", failing)
         before = threading.active_count()
         with pytest.raises(Boom, match="from the count"):
-            generate_reference(OperatorKind.STD, SynthesisConfig(20, seed=3, mc_draws=5_000))
+            generate_reference(OperatorKind.STD, 20, seed=3, mc_draws=5_000)
         assert threading.active_count() == before
 
     @pytest.mark.parametrize("fail_on", [1, 3])
@@ -263,17 +273,16 @@ class TestGenerateMatchesSequentialLoop:
         monkeypatch.setattr(reference, "_draw", failing)
         before = threading.active_count()
         with pytest.raises(Boom, match="from the draw"):
-            generate_reference(OperatorKind.STD, SynthesisConfig(20, seed=3, mc_draws=5_000))
+            generate_reference(OperatorKind.STD, 20, seed=3, mc_draws=5_000)
         assert len(calls) == fail_on
         assert threading.active_count() == before
 
     def test_std_memory_bounded_at_two_hundred_entries(self):
         # 2e6-cell chunks: one chunk alive plus sub-block temporaries stay
         # under 24 MiB
-        cfg = SynthesisConfig(200, seed=4, mc_draws=40_000)
         tracemalloc.start()
         try:
-            generate_reference(OperatorKind.STD, cfg)
+            generate_reference(OperatorKind.STD, 200, seed=4, mc_draws=40_000)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -282,86 +291,79 @@ class TestGenerateMatchesSequentialLoop:
     def test_runs_on_the_callers_thread(self, monkeypatch):
         # 5000 draws of 20 entries in 20 000-cell chunks make 5 chunks
         threads = []
-        count_digits = reference._count_digits
 
-        def counting(*args):
+        def drawing(*args):
             threads.append(threading.get_ident())
-            return count_digits(*args)
+            return _draw(*args)
 
         monkeypatch.setattr(reference, "_CHUNK_CELLS", 20_000)
-        monkeypatch.setattr(reference, "_count_digits", counting)
-        generate_reference(OperatorKind.STD, SynthesisConfig(20, seed=3, mc_draws=5_000))
+        monkeypatch.setattr(reference, "_draw", drawing)
+        generate_reference(OperatorKind.STD, 20, seed=3, mc_draws=5_000)
         assert threads == [threading.get_ident()] * 5
 
 
 class TestGenerateReference:
     def test_mean_of_one_is_identity(self):
-        cfg = SynthesisConfig(entries_per_vector=1, seed=21, mc_draws=20_000)
-        ref = generate_reference(OperatorKind.MEAN, cfg)
+        ref = generate_reference(OperatorKind.MEAN, 1, seed=21, mc_draws=20_000)
         assert tv_distance(ref.pmf, benford_pmf()) <= 0.02
         assert ref.skipped_draws == 0
 
     def test_mean_of_many_departs_from_base_law(self):
-        cfg = SynthesisConfig(entries_per_vector=100, seed=21, mc_draws=20_000)
-        ref = generate_reference(OperatorKind.MEAN, cfg)
+        ref = generate_reference(OperatorKind.MEAN, 100, seed=21, mc_draws=20_000)
         assert tv_distance(ref.pmf, benford_pmf()) >= 0.05
 
     def test_pmf_is_valid_for_every_operator(self):
         for op in OperatorKind:
-            cfg = SynthesisConfig(entries_per_vector=5, seed=4, mc_draws=5_000)
-            ref = generate_reference(op, cfg)
+            ref = generate_reference(op, 5, seed=4, mc_draws=5_000)
             pmf = np.asarray(ref.pmf)
             assert pmf.shape == (9,)
             assert np.all(pmf >= 0)
             assert abs(pmf.sum() - 1.0) < 1e-9
 
     def test_deterministic(self):
-        cfg = SynthesisConfig(entries_per_vector=3, seed=13, mc_draws=5_000)
-        a = generate_reference(OperatorKind.STD, cfg)
-        b = generate_reference(OperatorKind.STD, cfg)
+        a = generate_reference(OperatorKind.STD, 3, seed=13, mc_draws=5_000)
+        b = generate_reference(OperatorKind.STD, 3, seed=13, mc_draws=5_000)
         assert a.pmf == b.pmf
 
     def test_takes_an_operator_name(self):
-        cfg = SynthesisConfig(entries_per_vector=5, seed=4, mc_draws=1_000)
+        knobs = {"seed": 4, "mc_draws": 1_000}
         for op in OperatorKind:
-            assert generate_reference(op.value, cfg) == generate_reference(op, cfg)
+            assert generate_reference(op.value, 5, **knobs) == generate_reference(op, 5, **knobs)
         with pytest.raises(UnknownOperator, match="'median'"):
-            generate_reference("median", cfg)
+            generate_reference("median", 5, **knobs)
 
     def test_std_of_single_entry_aborts(self, monkeypatch):
         def no_draw(*args):
             pytest.fail("drew vectors for a law that does not exist")
 
         monkeypatch.setattr(reference, "_draw", no_draw)
-        cfg = SynthesisConfig(entries_per_vector=1, seed=2, mc_draws=1_000)
         for op in (OperatorKind.STD, OperatorKind.OLS_SLOPE):
             with pytest.raises(ValueError, match=f"^{op.value} needs entries_per_vector >= 2"):
-                generate_reference(op, cfg)
+                generate_reference(op, 1, seed=2, mc_draws=1_000)
 
 
 @pytest.fixture(scope="module")
 def mean_ref():
-    cfg = SynthesisConfig(entries_per_vector=1, seed=7, mc_draws=5_000)
-    return generate_reference(OperatorKind.MEAN, cfg), cfg
+    return generate_reference(OperatorKind.MEAN, 1, seed=7, mc_draws=5_000)
 
 
 class TestCalibrateFloor:
     def test_floor_in_unit_interval_and_recorded(self, mean_ref):
-        ref, cfg = mean_ref
+        ref = mean_ref
         cal = calibrate_floor(ref, observed_len=20, null_samples=50)
         assert 0.0 <= cal.calibration_floor < 1.0
         assert cal.observed_len_bucket == 20
         assert cal.calibration_samples == 50
 
     def test_deterministic(self, mean_ref):
-        ref, cfg = mean_ref
+        ref = mean_ref
         a = calibrate_floor(ref, observed_len=10, null_samples=30)
         b = calibrate_floor(ref, observed_len=10, null_samples=30)
         assert a.calibration_floor == b.calibration_floor
 
     def test_key_requires_calibration(self, mean_ref):
         # a generated law has no floor and no key; only calibration makes both
-        law, cfg = mean_ref
+        law = mean_ref
         assert not hasattr(law, "key") and not hasattr(law, "calibration_floor")
         cal = calibrate_floor(law, observed_len=10, null_samples=5)
         assert cal.key == ("mean", 1, 10)
@@ -369,16 +371,15 @@ class TestCalibrateFloor:
 
     def test_record_knobs_are_the_laws(self):
         # a record states the seed, draws and vector size its pmf was drawn under
-        cfg = SynthesisConfig(entries_per_vector=10, seed=1, mc_draws=1_000)
-        law = generate_reference(OperatorKind.MEAN, cfg)
-        assert law.cfg == cfg
+        law = generate_reference(OperatorKind.MEAN, 10, seed=1, mc_draws=1_000)
+        assert (law.entries_per_vector, law.seed, law.mc_draws) == (10, 1, 1_000)
         ref = calibrate_floor(law, observed_len=10, null_samples=5)
         assert (ref.seed, ref.mc_draws, ref.entries_per_vector) == (1, 1_000, 10)
         assert list(inspect.signature(calibrate_floor).parameters) == [
             "law", "observed_len", "null_samples"]
 
     def test_rejects_bad_arguments(self, mean_ref):
-        ref, cfg = mean_ref
+        ref = mean_ref
         with pytest.raises(ValueError):
             calibrate_floor(ref, observed_len=0, null_samples=5)
         with pytest.raises(ValueError):
@@ -389,8 +390,7 @@ class TestCalibrateFloor:
     def test_refuses_sizes_off_the_buckets_before_drawing(self, monkeypatch, n,
                                                           observed_len, field):
         # a record at such a size could be stored but never loaded again
-        cfg = SynthesisConfig(entries_per_vector=n, seed=7, mc_draws=1_000)
-        law = generate_reference(OperatorKind.MEAN, cfg)
+        law = generate_reference(OperatorKind.MEAN, n, seed=7, mc_draws=1_000)
 
         def no_draw(*args):
             raise AssertionError("drew before refusing")
@@ -403,7 +403,7 @@ class TestCalibrateFloor:
     def test_blocks_give_the_one_batch_floor(self, mean_ref, observed_len, monkeypatch):
         # Row blocks of one multinomial stream are the rows of one batch, so
         # the block size never moves a floor.
-        ref, cfg = mean_ref
+        ref = mean_ref
         whole = calibrate_floor(ref, observed_len=observed_len, null_samples=1000)
         drawn = []
 
@@ -415,8 +415,8 @@ class TestCalibrateFloor:
         monkeypatch.setattr(reference, "ks_distances", recording)
         assert calibrate_floor(ref, observed_len=observed_len,
                                null_samples=1000) == whole
-        gen = substream(cfg.seed, STREAM_CALIBRATE, operator_index(OperatorKind.MEAN),
-                        cfg.entries_per_vector, observed_len)
+        gen = substream(ref.seed, STREAM_CALIBRATE, operator_index(OperatorKind.MEAN),
+                        ref.entries_per_vector, observed_len)
         one_batch = gen.multinomial(observed_len, ref.pmf, size=1000)
         assert len(drawn) == 16
         assert np.array_equal(np.concatenate(drawn), one_batch)
@@ -424,7 +424,7 @@ class TestCalibrateFloor:
     def test_memory_bounded_at_two_million_samples(self, mean_ref):
         # one batch would hold 2e6 x 9 int64 counts (137 MiB) before any
         # distance is taken; blocks keep the peak near a tenth of that
-        ref, cfg = mean_ref
+        ref = mean_ref
         tracemalloc.start()
         try:
             calibrate_floor(ref, observed_len=20, null_samples=2_000_000)
@@ -444,13 +444,13 @@ class TestReferenceDistribution:
     ], ids=["entries", "observed-len", "seed", "draws", "calibration-samples"])
     def test_refuses_every_value_a_cache_entry_refuses(self, mean_ref, field, value,
                                                        message):
-        law, cfg = mean_ref
+        law = mean_ref
         ref = calibrate_floor(law, observed_len=10, null_samples=5)
         with pytest.raises(ValueError, match=message):
             dataclasses.replace(ref, **{field: value})
 
     def test_takes_an_operator_name(self, mean_ref, tmp_path):
-        ref = calibrate_floor(mean_ref[0], observed_len=10, null_samples=5)
+        ref = calibrate_floor(mean_ref, observed_len=10, null_samples=5)
         named = dataclasses.replace(ref, operator="mean")
         assert named == ref
         assert named.operator is OperatorKind.MEAN
@@ -529,9 +529,9 @@ class TestReferenceStore:
     def test_builds_each_law_once(self, monkeypatch):
         built = []
 
-        def counting(op, cfg):
-            built.append((op, cfg.entries_per_vector))
-            return generate_reference(op, cfg)
+        def counting(op, n, **knobs):
+            built.append((op, n))
+            return generate_reference(op, n, **knobs)
 
         monkeypatch.setattr(reference, "generate_reference", counting)
         store = ReferenceStore(seed=6, mc_draws=2_000, calibration_samples=50)
@@ -541,8 +541,8 @@ class TestReferenceStore:
         assert set(built) == {(r.operator, r.entries_per_vector) for r in refs}
         assert len(refs) > len(built)  # some law served several observed lengths
         for ref in refs:
-            cfg = SynthesisConfig(ref.entries_per_vector, seed=6, mc_draws=2_000)
-            law = generate_reference(ref.operator, cfg)
+            law = generate_reference(ref.operator, ref.entries_per_vector, seed=6,
+                                     mc_draws=2_000)
             assert ref == calibrate_floor(law, ref.observed_len_bucket, 50)
 
     def test_cache_hit_under_same_knobs_is_silent(self, tmp_path, caplog):
@@ -561,8 +561,8 @@ def _fail_on_calibrate(law, observed_len, null_samples):
     pytest.fail(f"calibrated {law.operator.value}/obs={observed_len} on a cache hit")
 
 
-def _fail_on_generate(op, cfg):
-    pytest.fail(f"generated {op.value}/n={cfg.entries_per_vector} under the default knobs")
+def _fail_on_generate(op, n, **knobs):
+    pytest.fail(f"generated {op.value}/n={n} under the default knobs")
 
 
 # sha256 over the repr of (SEED, DRAWS, LAWS) in the packaged table, recorded
@@ -606,8 +606,8 @@ class TestPackagedLaws:
         for (name, n), (counts, skipped) in default_laws.LAWS.items():
             if n > 200:
                 continue
-            cfg = SynthesisConfig(n, seed=DEFAULT_SEED, mc_draws=DEFAULT_DRAWS)
-            law = generate_reference(OperatorKind(name), cfg)
+            law = generate_reference(OperatorKind(name), n, seed=DEFAULT_SEED,
+                                     mc_draws=DEFAULT_DRAWS)
             total = DEFAULT_DRAWS - law.skipped_draws
             p = np.asarray(counts) / sum(counts)
             error = np.maximum(np.sqrt(total * p * (1.0 - p)), 1.0)
@@ -617,8 +617,8 @@ class TestPackagedLaws:
 
     @pytest.mark.parametrize("op", list(OperatorKind))
     def test_served_law_is_the_generated_law(self, op):
-        cfg = SynthesisConfig(2, seed=DEFAULT_SEED, mc_draws=DEFAULT_DRAWS)
-        assert reference._packaged_law(op, cfg) == generate_reference(op, cfg)
+        assert (reference._packaged_law(op, 2, DEFAULT_SEED, DEFAULT_DRAWS)
+                == generate_reference(op, 2, seed=DEFAULT_SEED, mc_draws=DEFAULT_DRAWS))
 
     def test_default_store_never_generates(self, tmp_path, monkeypatch):
         monkeypatch.setattr(reference, "generate_reference", _fail_on_generate)
@@ -641,14 +641,14 @@ class TestPackagedLaws:
     def test_other_knobs_still_generate(self, seed, draws, monkeypatch):
         built = []
 
-        def counting(op, cfg):
-            built.append((op, cfg))
-            return generate_reference(op, cfg)
+        def counting(op, n, **knobs):
+            built.append((op, n, knobs))
+            return generate_reference(op, n, **knobs)
 
         monkeypatch.setattr(reference, "generate_reference", counting)
         store = ReferenceStore(seed=seed, mc_draws=draws, calibration_samples=20)
         store.get(OperatorKind.MEAN, 2, 20)
-        assert built == [(OperatorKind.MEAN, SynthesisConfig(2, seed=seed, mc_draws=draws))]
+        assert built == [(OperatorKind.MEAN, 2, {"seed": seed, "mc_draws": draws})]
 
 
 # sha256 over the (pmf, floor) reprs of nine calibrated references, then the
@@ -671,9 +671,8 @@ def test_seeded_streams_are_pinned():
     digest = hashlib.sha256()
     for op in OperatorKind:
         for n in (2, 5, 20):
-            cfg = SynthesisConfig(n, seed=31, mc_draws=20_000)
-            ref = calibrate_floor(generate_reference(op, cfg), observed_len=20,
-                                  null_samples=300)
+            ref = calibrate_floor(generate_reference(op, n, seed=31, mc_draws=20_000),
+                                  observed_len=20, null_samples=300)
             digest.update(repr((ref.pmf, ref.calibration_floor)).encode())
     for dataset in synthetic_corpus(5, seed=3):
         for _, column in dataset.columns:
